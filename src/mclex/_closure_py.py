@@ -26,15 +26,6 @@ def closure_mask(n, k, mats, r0, stop=-1):
     while changed:
         changed = False
         for m, rows in mats:
-            if m == 0:
-                for combo in _tuples(rows, n):
-                    right = sum(row[-1] * w for row, w in zip(combo, weights))
-                    if not (r >> right) & 1:
-                        r |= 1 << right
-                        changed = True
-                        if right == stop:
-                            return r
-                continue
             added = _scan(n, m, rows, weights, r, stop)
             if added is None:
                 continue
@@ -43,12 +34,6 @@ def closure_mask(n, k, mats, r0, stop=-1):
             if hit:
                 return r
     return r
-
-
-def _tuples(rows, n):
-    import itertools
-
-    return itertools.product(rows, repeat=n)
 
 
 def _scan(n, m, rows, weights, r, stop):

@@ -18,8 +18,6 @@ from . import _kernel
 from .degeneracy import is_trivial
 from .matrix import STAR, ExtendedMatrix, entry_text, parse_matrix
 
-BACKEND = _kernel.BACKEND
-
 
 def encode_column(col, base):
     code = 0
@@ -34,11 +32,6 @@ def decode_column(code, base, n):
         col.append(code % base)
         code //= base
     return tuple(col)
-
-
-def pointed_maps(k_source, k_target):
-    """All maps of pointed alphabets, as image tuples for (x1..x_{k_source})."""
-    return list(itertools.product(range(k_target + 1), repeat=k_source))
 
 
 def apply_map(row, fmap):
@@ -65,20 +58,6 @@ def instantiate(M, k_target):
     return _instantiate_cached(M.rows, M.k, k_target)
 
 
-def instantiate_with_witnesses(M, k_target):
-    """As instantiate, but each row carries its first witness
-    (source row index, variable map)."""
-    out = []
-    seen = set()
-    for ri, row in enumerate(M.rows):
-        for fmap in pointed_maps(M.k, k_target):
-            t = apply_map(row, fmap)
-            if t not in seen:
-                seen.add(t)
-                out.append((t, (ri, fmap)))
-    return out
-
-
 def col_star_mask(N):
     """Bitmask of N's left columns together with the all-star column."""
     base = N.k + 1
@@ -91,56 +70,56 @@ def col_star_mask(N):
 def saturate(S, N, record=False, stop_at_goal=True):
     """Close col*(N) under the derivation rules of S inside N's universe.
 
-    Returns (mask, log); the log (record=True only) lists
-    (added_code, hypothesis_index, witness_tuple, consumed_codes).
+    Returns (mask, log); the log (record=True only) maps each derived column
+    code, in order of derivation, to (cost, hypothesis_index,
+    consumed_codes) of its witness.
     """
     n, k = N.n, N.k
     base = k + 1
     r0 = col_star_mask(N)
     goal = encode_column(N.right_column, base)
     stop = goal if stop_at_goal else -1
+    mats = [(M.m, instantiate(M, k)) for M in S]
     if not record:
-        mats = [(M.m, instantiate(M, k)) for M in S]
         return _kernel.closure_mask(n, k, mats, r0, stop), None
 
-    # recorded variant: batch semantics (each pass evaluates against the
-    # column set at pass start) and per-column derivation rounds, so that a
-    # dependency-minimal certificate can be extracted afterwards
-    inst = [instantiate_with_witnesses(M, k) for M in S]
+    # recorded variant: batch semantics (each round evaluates against the
+    # column set at round start).  Of a new column's derivations in its
+    # round it keeps the first that consumes the fewest derived columns, so
+    # that a dependency-minimal certificate can be read off the log.  Row
+    # tuples are extended one coordinate at a time in itertools.product
+    # order, and a tuple is dropped as soon as one of its partial left
+    # columns is no prefix of a column in the set.
     weights = [base**i for i in range(n)]
     r = r0
-    rounds = {}
-    order = []
-    round_no = 0
-    changed = True
-    while changed:
-        if stop >= 0 and (r >> stop) & 1:
-            break
-        changed = False
-        round_no += 1
+    log = {}
+    while not (stop >= 0 and (r >> stop) & 1):
         snapshot = r
-        pending = 0
-        for mi, rows in enumerate(inst):
-            m = S[mi].m
-            for combo in itertools.product(rows, repeat=n):
-                ok = True
-                for j in range(m):
-                    code = sum(combo[i][0][j] * weights[i] for i in range(n))
-                    if not (snapshot >> code) & 1:
-                        ok = False
-                        break
-                if not ok:
+        cols = [c for c in range(base**n) if (snapshot >> c) & 1]
+        prefixes = [{c % (w * base) for c in cols} for w in weights]
+        for mi, (m, rows) in enumerate(mats):
+            level = [(0,) * (m + 1)]
+            for w, allowed in zip(weights, prefixes):
+                nxt = []
+                for part in level:
+                    for row in rows:
+                        codes = tuple(p + e * w for p, e in zip(part, row))
+                        if all(c in allowed for c in codes[:-1]):
+                            nxt.append(codes)
+                level = nxt
+            for codes in level:
+                right = codes[-1]
+                if (snapshot >> right) & 1:
                     continue
-                right = sum(combo[i][0][-1] * weights[i] for i in range(n))
-                if (snapshot >> right) & 1 or (pending >> right) & 1:
-                    continue
-                pending |= 1 << right
-                rounds[right] = round_no
-                order.append(right)
-        if pending:
-            r |= pending
-            changed = True
-    return r, {"rounds": rounds, "order": order, "inst": inst}
+                consumed = codes[:-1]
+                cost = len({c for c in consumed if not (r0 >> c) & 1})
+                best = log.get(right)
+                if best is None or cost < best[0]:
+                    log[right] = (cost, mi, consumed)
+                    r |= 1 << right
+        if r == snapshot:
+            break
+    return r, log
 
 
 # --- tableaux ---------------------------------------------------------------
@@ -171,72 +150,42 @@ class TableauProof:
         return [step.added for step in self.steps]
 
 
-def _find_witness(S, inst, n, base, target, allowed, rounds, target_round):
-    """First derivation of the target column, preferring witnesses that
-    consume the fewest non-base columns."""
-    weights = [base**i for i in range(n)]
-    best = None
-    for mi, rows in enumerate(inst):
-        m = S[mi].m
-        for combo in itertools.product(rows, repeat=n):
-            right = sum(combo[i][0][-1] * weights[i] for i in range(n))
-            if right != target:
-                continue
-            consumed = []
-            ok = True
-            for j in range(m):
-                code = sum(combo[i][0][j] * weights[i] for i in range(n))
-                if not (allowed >> code) & 1 or rounds.get(code, 0) >= target_round:
-                    ok = False
-                    break
-                consumed.append(code)
-            if not ok:
-                continue
-            cost = len({c for c in consumed if c in rounds})
-            if best is None or cost < best[0]:
-                best = (cost, mi, tuple(w for _t, w in combo), tuple(consumed))
-                if cost == 0:
-                    return best
-    return best
+def _first_witness(M, row, k):
+    """First (row index, variable map) of M instantiating row, in
+    instantiate's order."""
+    for ri, source in enumerate(M.rows):
+        for fmap in itertools.product(range(k + 1), repeat=M.k):
+            if apply_map(source, fmap) == row:
+                return ri, fmap
 
 
-def _build_proof(S, N, mask, info, verdict):
+def _build_proof(S, N, log, verdict):
     base = N.k + 1
     n = N.n
-    star_col = (STAR,) * n
-    steps = [TableauStep(star_col, (), ())]
-    base_mask = col_star_mask(N)
-    rounds, order, inst = info["rounds"], info["order"], info["inst"]
-
+    steps = [TableauStep((STAR,) * n, (), ())]
     if verdict:
-        goal = encode_column(N.right_column, base)
-        chosen = {}
-        stack = [goal]
+        needed = set()
+        stack = [encode_column(N.right_column, base)]
         while stack:
             code = stack.pop()
-            if code in chosen or (base_mask >> code) & 1:
-                continue
-            w = _find_witness(S, inst, n, base, code, mask, rounds, rounds[code])
-            chosen[code] = w
-            for dep in w[3]:
-                if dep in rounds:
-                    stack.append(dep)
-        pos = {c: i for i, c in enumerate(order)}
-        codes = sorted(chosen, key=lambda c: (rounds[c], pos[c]))
+            if code in log and code not in needed:
+                needed.add(code)
+                stack.extend(log[code][2])
+        codes = [c for c in log if c in needed]
     else:
         # a failed goal keeps the whole saturation as its partial tableau
-        chosen = {}
-        for code in order:
-            chosen[code] = _find_witness(S, inst, n, base, code, mask, rounds, rounds[code])
-        codes = order
+        codes = list(log)
 
     for code in codes:
-        _cost, mi, witnesses, consumed = chosen[code]
+        _cost, mi, consumed = log[code]
+        added = decode_column(code, base, n)
+        cols = [decode_column(c, base, n) for c in consumed]
+        rows = [tuple(col[i] for col in cols) + (added[i],) for i in range(n)]
         steps.append(
             TableauStep(
-                decode_column(code, base, n),
-                tuple((mi,) + w for w in witnesses),
-                tuple(decode_column(c, base, n) for c in consumed),
+                added,
+                tuple((mi,) + _first_witness(S[mi], row, N.k) for row in rows),
+                tuple(cols),
             )
         )
     return TableauProof(N, tuple(S), tuple(steps), verdict)
@@ -260,7 +209,7 @@ def decide(S, U, record=False):
         if record:
             mask, log = saturate(S, N, record=True, stop_at_goal=True)
             ok = bool((mask >> goal) & 1)
-            tableaux.append(_build_proof(S, N, mask, log, ok))
+            tableaux.append(_build_proof(S, N, log, ok))
         else:
             mask, _ = saturate(S, N, record=False, stop_at_goal=True)
             ok = bool((mask >> goal) & 1)

@@ -334,20 +334,16 @@ def _minimize(rows):
 
 @lru_cache(maxsize=65536)
 def _normalize_rows(rows):
-    cur = list(rows)
-    for _ in range(8):
-        cur = _strip_duplicates(cur)
-        cur = _minimize(cur)
-        cur = tuple(cur)
-        if cur == rows:
-            return cur
-        if _strip_duplicates(list(cur)) == list(cur):
-            nxt = tuple(_minimize(list(cur)))
-            if nxt == cur:
-                return cur
-        rows = cur
-        cur = list(rows)
-    return tuple(cur)
+    # Per-row renaming can make rows equal (1 2 | 1 ; 2 1 | 2 minimizes to
+    # two copies of 1 2 | 1), so stripping and minimizing repeat until
+    # nothing changes.  This terminates: after the first pass the grid is
+    # minimal and minimizing a minimal grid returns it, so every later pass
+    # but the last removes a row or a column.
+    while True:
+        nxt = tuple(_minimize(_strip_duplicates(list(rows))))
+        if nxt == rows:
+            return rows
+        rows = nxt
 
 
 def normalize(M):

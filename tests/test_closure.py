@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -216,6 +217,27 @@ def test_every_recorded_tableau_verifies_sample():
         _verdict, tableaux = decide(S, U, record=True)
         for proof in tableaux:
             assert check_tableau(proof)
+
+
+# sha256 over the tableau JSON of 120 recorded decides: pins each step's
+# witness, consumed columns and position byte for byte
+SEED_TABLEAU_DIGEST = "6cd3b6e7494d6f49ff26a4a1d7a5de59d32bf216ec9b2c76c01f9b62a135b2ed"
+
+
+def test_recorded_tableaux_digest_3x3x2():
+    from mclex import candidate_stream, degeneracy_class
+    from mclex.degeneracy import DegeneracyClass
+
+    pool = [matrix(rows) for rows in candidate_stream(3, 3, 2)]
+    pool = [M for M in pool if degeneracy_class(M) is DegeneracyClass.PROPER]
+    assert len(pool) == 277
+    rng = random.Random(0)
+    h = hashlib.sha256()
+    for _ in range(120):
+        A, B = rng.sample(pool, 2)
+        _verdict, tableaux = decide([A], [B], record=True)
+        h.update(json.dumps([tableau_to_json(t) for t in tableaux], sort_keys=True).encode())
+    assert h.hexdigest() == SEED_TABLEAU_DIGEST
 
 
 def test_hand_transcribed_tableau():

@@ -202,3 +202,11 @@ def test_dimension_guards():
         ExtendedMatrix(1, 1, 0, ((1, 0),))
     with pytest.raises(ValueError):
         ExtendedMatrix(2, 1, 1, ((1, 1),))
+
+
+def test_normalize_repeats_until_renaming_exposes_no_duplicates():
+    # per-row renaming turns the second row into a copy of the first, which
+    # only the next strip removes
+    N = normalize(parse_matrix("1 2 | 1 ; 2 1 | 2"))
+    assert N.rows == parse_matrix("1 2 | 1").rows
+    assert normalize(N).rows == N.rows
