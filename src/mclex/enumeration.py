@@ -508,12 +508,52 @@ def _load_checkpoint(directory, n, m, k):
     try:
         with open(path) as fh:
             state = json.load(fh)
-        if tuple(state["params"]) != (n, m, k):
-            raise KeyError("params")
-        state["classes"] and state["done_batches"]
-        return state
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise CheckpointError(f"corrupted checkpoint {path}: {exc}")
+    problem = _checkpoint_problem(state, n, m, k)
+    if problem:
+        raise CheckpointError(f"corrupted checkpoint {path}: {problem}")
+    return state
+
+
+def _int_list(value, length=None):
+    return (
+        isinstance(value, list)
+        and (length is None or len(value) == length)
+        and all(type(e) is int and e >= 0 for e in value)
+    )
+
+
+def _checkpoint_problem(state, n, m, k):
+    """What keeps state from being a checkpoint _save_checkpoint wrote for
+    the window (n, m, k), or None."""
+    if not isinstance(state, dict):
+        return "not a JSON object"
+    if state.get("params") != [n, m, k]:
+        return "params"
+    done = state.get("done_batches")
+    if not isinstance(done, list) or not all(_int_list(s, 2) for s in done):
+        return "done_batches"
+    classes = state.get("classes")
+    if not isinstance(classes, list):
+        return "classes"
+    kinds = [kind.value for kind in DegeneracyClass]  # a list: kind may be unhashable
+    for i, rec in enumerate(classes):
+        if not isinstance(rec, dict):
+            return f"classes[{i}]"
+        rows = rec.get("rows")
+        if not (
+            isinstance(rows, list)
+            and rows
+            and all(_int_list(r) and r and len(r) == len(rows[0]) for r in rows)
+        ):
+            return f"classes[{i}].rows"
+        if rec.get("kind") not in kinds:
+            return f"classes[{i}].kind"
+        members = rec.get("members")
+        if type(members) is not int or members < 1:
+            return f"classes[{i}].members"
+    return None
 
 
 def _save_checkpoint(directory, n, m, k, done, classes):

@@ -192,6 +192,14 @@ def test_enumerate_checkpoint_corruption(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
+def test_enumerate_checkpoint_missing_key(capsys, tmp_path):
+    (tmp_path / "classify_2_3_2.json").write_text('{"params":[2,3,2],"classes":[]}')
+    code, _out, err = run(
+        capsys, "enumerate", "2", "3", "2", "--checkpoint", str(tmp_path)
+    )
+    assert code == 2 and "error:" in err and "done_batches" in err
+
+
 # --- error handling ----------------------------------------------------------
 
 

@@ -261,6 +261,46 @@ def test_checkpoint_corruption(tmp_path):
         classify(2, 3, 2, checkpoint_dir=str(tmp_path))
 
 
+def test_checkpoint_not_utf8(tmp_path):
+    (tmp_path / "classify_2_3_2.json").write_bytes(b"\xff\xfe{")
+    with pytest.raises(CheckpointError):
+        classify(2, 3, 2, checkpoint_dir=str(tmp_path))
+
+
+_GOOD_CLASS = {"rows": [[1]], "kind": "trivial", "members": 1}
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        [2, 3, 2],
+        {"params": [2, 3, 2], "classes": []},
+        {"params": [2, 3, 2], "classes": [], "done_batches": [[1]]},
+        {"params": [2, 3, 2], "classes": {}, "done_batches": []},
+        {"params": [2, 3], "classes": [], "done_batches": []},
+        {"params": [2, 3, 2], "classes": [[1]], "done_batches": []},
+        {"params": [2, 3, 2], "done_batches": [],
+         "classes": [dict(_GOOD_CLASS, rows=[])]},
+        {"params": [2, 3, 2], "done_batches": [],
+         "classes": [dict(_GOOD_CLASS, rows=[[1, 2], [1]])]},
+        {"params": [2, 3, 2], "done_batches": [],
+         "classes": [dict(_GOOD_CLASS, rows=[5])]},
+        {"params": [2, 3, 2], "done_batches": [],
+         "classes": [dict(_GOOD_CLASS, kind="odd")]},
+        {"params": [2, 3, 2], "done_batches": [],
+         "classes": [dict(_GOOD_CLASS, kind=["proper"])]},
+        {"params": [2, 3, 2], "done_batches": [],
+         "classes": [dict(_GOOD_CLASS, members="1")]},
+        {"params": [2, 3, 2], "done_batches": [],
+         "classes": [{"rows": [[1]], "kind": "trivial"}]},
+    ],
+)
+def test_checkpoint_malformed_state(tmp_path, state):
+    (tmp_path / "classify_2_3_2.json").write_text(json.dumps(state))
+    with pytest.raises(CheckpointError):
+        classify(2, 3, 2, checkpoint_dir=str(tmp_path))
+
+
 # --- export ------------------------------------------------------------------
 
 

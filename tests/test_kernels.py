@@ -1,5 +1,7 @@
-"""Parity between the compiled closure kernel and the pure-Python fallback."""
+"""Parity between the compiled closure kernel and the pure-Python fallback,
+and of the bit-sliced signature kernel with a rule-by-rule reference."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -9,7 +11,7 @@ import pytest
 
 from mclex import _closure_py
 from mclex.closure import col_star_mask, encode_column, instantiate
-from mclex.enumeration import _probe_masks
+from mclex.enumeration import _probe_masks, probes_for
 from mclex import matrix
 
 try:
@@ -79,7 +81,73 @@ def test_sharp_bits_empty_rows():
     masks = _probe_masks(2, 1)
     full = (1 << len(masks)) - 1
     assert _closure_c.sharp_bits(2, 1, 1, (), masks) == full
+
+
+def test_sharp_bits_empty_rows_python():
+    masks = _probe_masks(2, 1)
+    full = (1 << len(masks)) - 1
     assert _closure_py.sharp_bits(2, 1, 1, (), masks) == full
+
+
+def reference_sharp_bits(n, k, m, rows, rel_masks):
+    """Rule-by-rule evaluation: each rule tested against each mask."""
+    base = k + 1
+    weights = [base**i for i in range(n)]
+    rules = set()
+    for combo in itertools.product(rows, repeat=n):
+        ant = 0
+        for j in range(m):
+            code = sum(combo[i][j] * weights[i] for i in range(n))
+            ant |= 1 << code
+        cons = sum(combo[i][-1] * weights[i] for i in range(n))
+        rules.add((ant, cons))
+    out = 0
+    for i, rm in enumerate(rel_masks):
+        ok = True
+        for ant, cons in rules:
+            if (rm & ant) == ant and not (rm >> cons) & 1:
+                ok = False
+                break
+        if ok:
+            out |= 1 << i
+    return out
+
+
+def _probe_shapes():
+    # every probe of the windows up to n=4, k=2, and the k+1 probes that
+    # compute_groups takes for their localized matrices
+    return sorted({p for n in range(1, 5) for k in range(1, 4) for p in probes_for(n, k)})
+
+
+@pytest.mark.parametrize("probe", _probe_shapes())
+def test_sharp_bits_matches_reference(probe):
+    n_p, k_p = probe
+    masks = _probe_masks(n_p, k_p)
+    rng = random.Random(n_p * 10 + k_p)
+    mats = [
+        matrix([(1, 2, 1)]),  # every rule has its consequent among its antecedents
+        matrix([(1, 2, 2), (2, 1, 2)]),  # some rules have, some have not
+        matrix([(1,)]),  # m == 0
+        matrix([(0,), (1,)]),  # m == 0
+    ]
+    for _ in range(40):
+        mats.append(
+            random_matrix(rng, rng.randint(1, 3), rng.randint(0, 3), rng.randint(0, 2))
+        )
+    for M in mats:
+        rows = instantiate(M, k_p)
+        expected = reference_sharp_bits(n_p, k_p, M.m, rows, masks)
+        assert _closure_py.sharp_bits(n_p, k_p, M.m, rows, masks) == expected, M
+        # a prefix of the masks is another cache key over the same universe
+        head = list(masks[:100])
+        assert _closure_py.sharp_bits(n_p, k_p, M.m, rows, head) == expected & (
+            (1 << len(head)) - 1
+        )
+    full = (1 << len(masks)) - 1
+    assert _closure_py.sharp_bits(n_p, k_p, 0, (), masks) == full
+    all_trivial = mats[0]
+    rows = instantiate(all_trivial, k_p)
+    assert _closure_py.sharp_bits(n_p, k_p, all_trivial.m, rows, masks) == full
 
 
 def test_pure_python_env_override():
