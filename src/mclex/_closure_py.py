@@ -4,12 +4,20 @@ Column sets over the universe of (k+1)^n pointed columns are Python ints
 used as bitmasks; a column (e_1,...,e_n) has code sum(e_i * (k+1)**i).
 The compiled extension exposes the same two entry points.
 
+Both kernels build their row tuples from rows packed into fixed-width
+integer fields, one per column, so that a whole row adds its entries to
+every column code with one addition.
+
+The closure kernel `closure_mask` is the compiled kernel's algorithm: it
+extends row tuples one coordinate at a time and drops a partial tuple as
+soon as one of its partial left columns is no prefix of a column in the
+set.  It visits the surviving tuples in the order of the unpruned scan, so
+it returns the same int, early stop included.
+
 The signature kernel `sharp_bits` is bit-sliced: instead of testing every
 derivation rule against one relation mask at a time, it turns the masks
 into one int per column code (bit i set when mask i contains the code) and
-evaluates each rule on all masks with a few big-int ANDs.  Its rules come
-from row tuples packed into fixed-width integer fields, one per column, so
-that a whole row adds its entries to every column code with one addition.
+evaluates each rule on all masks with a few big-int ANDs.
 """
 
 from __future__ import annotations
@@ -25,69 +33,88 @@ def closure_mask(n, k, mats, r0, stop=-1):
     mats is a list of (m, rows) pairs where rows is a flat list of
     instantiated row tuples (length m+1, entries in 0..k).  Stops early when
     the column code `stop` becomes derivable (unless stop < 0).
+
+    Rounds scan the hypotheses in list order until a round adds nothing.  A
+    scan walks the n-tuples of rows in itertools.product order (first
+    coordinate outermost) and adds each tuple's right column once all its
+    left columns are in the set; a column added mid-scan counts for the
+    tuples after it.
+
+    Prefix pruning: the first d rows of a tuple fix the low d digits of
+    each column, code % (k+1)**d.  A partial tuple is dropped as soon as one
+    of these partial left columns is no prefix of a column in the set.  No
+    tuple below it can pass before a column with that prefix is added, and
+    only a passing tuple below it could add one; so every pruned tuple is
+    one the full scan would find failing.  A complete tuple whose right
+    column is already in the set is skipped before its left columns are
+    tested, since it could add nothing.  The tuples that add a column are
+    visited in the unpruned order, so the result, `stop` included, is the
+    same.
+
+    Packed rows: as in `sharp_bits`, each row is one int with a field of
+    w = universe.bit_length() bits per entry, the right entry in field m.
+    Adding packed_row * (k+1)**d extends every partial column of the tuple
+    by one digit at once; no field carries into the next because every
+    field stays below universe < 2**w.
     """
+    if stop >= 0 and (r0 >> stop) & 1:
+        return r0
     base = k + 1
-    weights = [base**i for i in range(n)]
-    r = r0
-    if stop >= 0 and (r >> stop) & 1:
-        return r
-    changed = True
-    while changed:
-        changed = False
-        for m, rows in mats:
-            added = _scan(n, m, rows, weights, r, stop)
-            if added is None:
-                continue
-            r, hit = added
-            changed = True
-            if hit:
-                return r
-    return r
-
-
-def _scan(n, m, rows, weights, r, stop):
-    """One full pass; returns (new_mask, stop_hit) if anything was added."""
-    nrows = len(rows)
-    start = r
-    hit = False
-    # iterative odometer with partial column codes per depth
-    idx = [0] * n
-    pcols = [[0] * m for _ in range(n + 1)]
-    pright = [0] * (n + 1)
-    depth = 0
-    while depth >= 0:
-        if idx[depth] >= nrows:
-            idx[depth] = 0
-            depth -= 1
-            if depth >= 0:
-                idx[depth] += 1
+    universe = base**n
+    w = universe.bit_length()
+    field = (1 << w) - 1
+    mods = [base ** (d + 1) for d in range(n)]
+    cols = [c for c in range(universe) if (r0 >> c) & 1]
+    # known[d]: codes % (k+1)**(d+1) of the columns in the set; the last
+    # depth holds the columns themselves
+    known = [{c % mod for c in cols} for mod in mods]
+    full = known[-1]
+    last = n - 1
+    scans = []
+    for m, rows in mats:
+        if not rows:
             continue
-        row = rows[idx[depth]]
-        w = weights[depth]
-        cur = pcols[depth]
-        nxt = pcols[depth + 1]
-        ok = True
-        for j in range(m):
-            nxt[j] = cur[j] + row[j] * w
-        pright[depth + 1] = pright[depth] + row[-1] * w
-        if depth == n - 1:
-            for j in range(m):
-                if not (r >> nxt[j]) & 1:
-                    ok = False
-                    break
-            if ok:
-                right = pright[n]
-                if not (r >> right) & 1:
-                    r |= 1 << right
-                    if right == stop:
-                        hit = True
+        packed = [sum(e << (w * j) for j, e in enumerate(row)) for row in rows]
+        steps = [[p * base**d for p in packed] for d in range(n)]
+        scans.append((steps, range(0, w * m, w), w * m))
+
+    def scan(steps, shifts, right, d, acc):
+        # True once stop is added; new columns go into every known set
+        seen = known[d]
+        if d == last:
+            for s in steps[d]:
+                v = acc + s
+                c = v >> right
+                if c in full:
+                    continue
+                for sh in shifts:
+                    if (v >> sh) & field not in full:
                         break
-            idx[depth] += 1
-        else:
-            depth += 1
-    if r == start:
-        return None
-    return r, hit
+                else:
+                    for kd, mod in zip(known, mods):
+                        kd.add(c % mod)
+                    if c == stop:
+                        return True
+            return False
+        for s in steps[d]:
+            v = acc + s
+            for sh in shifts:
+                if (v >> sh) & field not in seen:
+                    break
+            else:
+                if scan(steps, shifts, right, d + 1, v):
+                    return True
+        return False
+
+    size = None
+    while size != len(full):
+        size = len(full)
+        if any(scan(steps, shifts, right, 0, 0) for steps, shifts, right in scans):
+            break
+    r = r0
+    for c in full:
+        r |= 1 << c
+    return r
 
 
 # one entry per probe shape; enumeration passes the same probe tuples on
