@@ -116,6 +116,11 @@ def _dispatch(args):
         rhs = [_read_matrix(a) for a in args.rhs]
         verdict, tableaux = decide(lhs, rhs, record=bool(args.tableau))
         print("yes" if verdict else "no")
+        if args.tableau and not tableaux:
+            # decide short-circuits on a trivial hypothesis, with no saturation
+            print(f"note: no tableau written to {args.tableau}: a hypothesis is "
+                  "trivial, so the implication holds without a certificate",
+                  file=sys.stderr)
         if args.tableau and tableaux:
             if len(tableaux) == 1:
                 dump_tableau(tableaux[0], args.tableau)

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import _kernel
+from . import _closure_py, _kernel
 from .degeneracy import is_trivial
 from .matrix import STAR, ExtendedMatrix, entry_text, parse_matrix
 
@@ -72,54 +72,21 @@ def saturate(S, N, record=False, stop_at_goal=True):
 
     Returns (mask, log); the log (record=True only) maps each derived column
     code, in order of derivation, to (cost, hypothesis_index,
-    consumed_codes) of its witness.
+    consumed_codes) of its witness.  Without record the closure kernel of
+    the active backend answers; with record the pure-Python
+    `_closure_py.closure_record` runs the closure in batch rounds (each
+    round reads the column set as it was at its start) and keeps, for each
+    new column, the first witness that consumes the fewest derived columns,
+    so that a dependency-minimal certificate can be read off the log.
     """
     n, k = N.n, N.k
-    base = k + 1
     r0 = col_star_mask(N)
-    goal = encode_column(N.right_column, base)
+    goal = encode_column(N.right_column, k + 1)
     stop = goal if stop_at_goal else -1
     mats = [(M.m, instantiate(M, k)) for M in S]
     if not record:
         return _kernel.closure_mask(n, k, mats, r0, stop), None
-
-    # recorded variant: batch semantics (each round evaluates against the
-    # column set at round start).  Of a new column's derivations in its
-    # round it keeps the first that consumes the fewest derived columns, so
-    # that a dependency-minimal certificate can be read off the log.  Row
-    # tuples are extended one coordinate at a time in itertools.product
-    # order, and a tuple is dropped as soon as one of its partial left
-    # columns is no prefix of a column in the set.
-    weights = [base**i for i in range(n)]
-    r = r0
-    log = {}
-    while not (stop >= 0 and (r >> stop) & 1):
-        snapshot = r
-        cols = [c for c in range(base**n) if (snapshot >> c) & 1]
-        prefixes = [{c % (w * base) for c in cols} for w in weights]
-        for mi, (m, rows) in enumerate(mats):
-            level = [(0,) * (m + 1)]
-            for w, allowed in zip(weights, prefixes):
-                nxt = []
-                for part in level:
-                    for row in rows:
-                        codes = tuple(p + e * w for p, e in zip(part, row))
-                        if all(c in allowed for c in codes[:-1]):
-                            nxt.append(codes)
-                level = nxt
-            for codes in level:
-                right = codes[-1]
-                if (snapshot >> right) & 1:
-                    continue
-                consumed = codes[:-1]
-                cost = len({c for c in consumed if not (r0 >> c) & 1})
-                best = log.get(right)
-                if best is None or cost < best[0]:
-                    log[right] = (cost, mi, consumed)
-                    r |= 1 << right
-        if r == snapshot:
-            break
-    return r, log
+    return _closure_py.closure_record(n, k, mats, r0, stop)
 
 
 # --- tableaux ---------------------------------------------------------------

@@ -21,7 +21,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from . import _kernel
+from . import __version__, _kernel
 from .closure import decide, instantiate
 from .degeneracy import DegeneracyClass, degeneracy_class
 from .localization import loc_equal, localize
@@ -512,8 +512,14 @@ def _load_checkpoint(directory, n, m, k):
         raise CheckpointError(f"corrupted checkpoint {path}: {exc}")
     problem = _checkpoint_problem(state, n, m, k)
     if problem:
-        raise CheckpointError(f"corrupted checkpoint {path}: {problem}")
+        raise CheckpointError(f"cannot resume from checkpoint {path}: {problem}")
     return state
+
+
+def _stamp(n, k):
+    """The build a checkpoint belongs to: the package version and the
+    signature probes, which decide how candidates are bucketed."""
+    return {"version": __version__, "probes": [list(p) for p in probes_for(n, k)]}
 
 
 def _int_list(value, length=None):
@@ -529,6 +535,10 @@ def _checkpoint_problem(state, n, m, k):
     the window (n, m, k), or None."""
     if not isinstance(state, dict):
         return "not a JSON object"
+    for key, want in _stamp(n, k).items():
+        if state.get(key) != want:
+            return (f"written by another build ({key} {state.get(key)!r}, "
+                    f"expected {want!r}); delete it to start over")
     if state.get("params") != [n, m, k]:
         return "params"
     done = state.get("done_batches")
@@ -562,6 +572,7 @@ def _save_checkpoint(directory, n, m, k, done, classes):
     os.makedirs(directory, exist_ok=True)
     path = _ckpt_path(directory, n, m, k)
     state = {
+        **_stamp(n, k),
         "params": [n, m, k],
         "done_batches": sorted(list(s) for s in done),
         "classes": [

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mclex import __version__
 from mclex.cli import main
 
 
@@ -36,6 +37,24 @@ def test_decide_negative(capsys):
         "1 * | 1 ; 1 1 | *",
     )
     assert code == 1 and out.strip() == "no"
+
+
+def test_decide_trivial_hypothesis_tableau_note(capsys, tmp_path):
+    target = tmp_path / "t.json"
+    code, out, err = run(
+        capsys,
+        "decide",
+        "--lhs",
+        "1 | 2",
+        "--rhs",
+        "1 2 2 | 1 ; 2 2 1 | 1",
+        "--tableau",
+        str(target),
+    )
+    assert code == 0 and out.strip() == "yes"
+    assert not target.exists() and list(tmp_path.iterdir()) == []
+    assert len(err.strip().splitlines()) == 1
+    assert "no tableau written" in err and "trivial" in err
 
 
 def test_decide_multiple_rhs_tableaux(capsys, tmp_path):
@@ -193,11 +212,23 @@ def test_enumerate_checkpoint_corruption(capsys, tmp_path):
 
 
 def test_enumerate_checkpoint_missing_key(capsys, tmp_path):
-    (tmp_path / "classify_2_3_2.json").write_text('{"params":[2,3,2],"classes":[]}')
+    state = {"version": __version__, "probes": [[2, 1], [3, 1], [2, 2]],
+             "params": [2, 3, 2], "classes": []}
+    (tmp_path / "classify_2_3_2.json").write_text(json.dumps(state))
     code, _out, err = run(
         capsys, "enumerate", "2", "3", "2", "--checkpoint", str(tmp_path)
     )
     assert code == 2 and "error:" in err and "done_batches" in err
+
+
+def test_enumerate_checkpoint_other_version(capsys, tmp_path):
+    state = {"version": "0.0.1", "probes": [[2, 1], [3, 1], [2, 2]],
+             "params": [2, 3, 2], "done_batches": [], "classes": []}
+    (tmp_path / "classify_2_3_2.json").write_text(json.dumps(state))
+    code, _out, err = run(
+        capsys, "enumerate", "2", "3", "2", "--checkpoint", str(tmp_path)
+    )
+    assert code == 2 and "error:" in err and "another build" in err
 
 
 # --- error handling ----------------------------------------------------------

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from conftest import MALTSEV, SU2, SU2_CANON, SU3, TRIVIAL
+
+import mclex
 from mclex import (
     ANCHORS,
     canonical,
@@ -268,36 +270,64 @@ def test_checkpoint_not_utf8(tmp_path):
 
 
 _GOOD_CLASS = {"rows": [[1]], "kind": "trivial", "members": 1}
+# what a checkpoint of (2, 3, 2) written by this build is stamped with
+_STAMP = {"version": mclex.__version__, "probes": [[2, 1], [3, 1], [2, 2]]}
 
 
 @pytest.mark.parametrize(
     "state",
     [
         [2, 3, 2],
-        {"params": [2, 3, 2], "classes": []},
-        {"params": [2, 3, 2], "classes": [], "done_batches": [[1]]},
-        {"params": [2, 3, 2], "classes": {}, "done_batches": []},
-        {"params": [2, 3], "classes": [], "done_batches": []},
-        {"params": [2, 3, 2], "classes": [[1]], "done_batches": []},
-        {"params": [2, 3, 2], "done_batches": [],
+        {**_STAMP, "params": [2, 3, 2], "classes": []},
+        {**_STAMP, "params": [2, 3, 2], "classes": [], "done_batches": [[1]]},
+        {**_STAMP, "params": [2, 3, 2], "classes": {}, "done_batches": []},
+        {**_STAMP, "params": [2, 3], "classes": [], "done_batches": []},
+        {**_STAMP, "params": [2, 3, 2], "classes": [[1]], "done_batches": []},
+        {**_STAMP, "params": [2, 3, 2], "done_batches": [],
          "classes": [dict(_GOOD_CLASS, rows=[])]},
-        {"params": [2, 3, 2], "done_batches": [],
+        {**_STAMP, "params": [2, 3, 2], "done_batches": [],
          "classes": [dict(_GOOD_CLASS, rows=[[1, 2], [1]])]},
-        {"params": [2, 3, 2], "done_batches": [],
+        {**_STAMP, "params": [2, 3, 2], "done_batches": [],
          "classes": [dict(_GOOD_CLASS, rows=[5])]},
-        {"params": [2, 3, 2], "done_batches": [],
+        {**_STAMP, "params": [2, 3, 2], "done_batches": [],
          "classes": [dict(_GOOD_CLASS, kind="odd")]},
-        {"params": [2, 3, 2], "done_batches": [],
+        {**_STAMP, "params": [2, 3, 2], "done_batches": [],
          "classes": [dict(_GOOD_CLASS, kind=["proper"])]},
-        {"params": [2, 3, 2], "done_batches": [],
+        {**_STAMP, "params": [2, 3, 2], "done_batches": [],
          "classes": [dict(_GOOD_CLASS, members="1")]},
-        {"params": [2, 3, 2], "done_batches": [],
+        {**_STAMP, "params": [2, 3, 2], "done_batches": [],
          "classes": [{"rows": [[1]], "kind": "trivial"}]},
     ],
 )
 def test_checkpoint_malformed_state(tmp_path, state):
     (tmp_path / "classify_2_3_2.json").write_text(json.dumps(state))
     with pytest.raises(CheckpointError):
+        classify(2, 3, 2, checkpoint_dir=str(tmp_path))
+
+
+def test_checkpoint_records_stamp(tmp_path):
+    classify(2, 3, 2, checkpoint_dir=str(tmp_path))
+    state = json.loads((tmp_path / "classify_2_3_2.json").read_text())
+    assert {key: state[key] for key in _STAMP} == _STAMP
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"version": None},
+        {"probes": None},
+        {"version": "0.0.1"},
+        {"probes": [[1, 1], [2, 1], [3, 1], [2, 2]]},
+    ],
+)
+def test_checkpoint_other_build_refused(tmp_path, change):
+    classify(2, 3, 2, checkpoint_dir=str(tmp_path))
+    path = tmp_path / "classify_2_3_2.json"
+    state = json.loads(path.read_text())
+    state.update(change)
+    state = {key: value for key, value in state.items() if value is not None}
+    path.write_text(json.dumps(state))
+    with pytest.raises(CheckpointError, match="another build"):
         classify(2, 3, 2, checkpoint_dir=str(tmp_path))
 
 

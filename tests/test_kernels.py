@@ -1,5 +1,6 @@
 """Parity between the compiled closure kernel and the pure-Python fallback,
-and of the pure-Python kernels with unpruned, rule-by-rule references.
+and of the pure-Python kernels with unpruned, rule-by-rule or batch-loop
+references.
 
 The parity tests compile the shipped src/mclex/_closure_c.c into a
 temporary directory with the interpreter's own compiler settings, so they
@@ -148,6 +149,53 @@ def test_closure_mask_matches_reference():
         for stop in (-1, goal):
             expected = reference_closure_mask(n, k, mats, r0, stop)
             assert _closure_py.closure_mask(n, k, mats, r0, stop) == expected, (n, k, mats, r0, stop)
+
+
+def reference_saturate_record(n, k, mats, r0, stop=-1):
+    """Batch rounds over tuples of column codes built one row at a time,
+    each partial tuple kept while its partial left columns are prefixes of
+    columns in the round's starting set; of a round's tuples deriving a
+    new column, the first with the fewest consumed columns outside r0."""
+    base = k + 1
+    weights = [base**i for i in range(n)]
+    r = r0
+    log = {}
+    while not (stop >= 0 and (r >> stop) & 1):
+        snapshot = r
+        cols = [c for c in range(base**n) if (snapshot >> c) & 1]
+        prefixes = [{c % (w * base) for c in cols} for w in weights]
+        for mi, (m, rows) in enumerate(mats):
+            level = [(0,) * (m + 1)]
+            for w, allowed in zip(weights, prefixes):
+                nxt = []
+                for part in level:
+                    for row in rows:
+                        codes = tuple(p + e * w for p, e in zip(part, row))
+                        if all(c in allowed for c in codes[:-1]):
+                            nxt.append(codes)
+                level = nxt
+            for codes in level:
+                right = codes[-1]
+                if (snapshot >> right) & 1:
+                    continue
+                consumed = codes[:-1]
+                cost = len({c for c in consumed if not (r0 >> c) & 1})
+                best = log.get(right)
+                if best is None or cost < best[0]:
+                    log[right] = (cost, mi, consumed)
+                    r |= 1 << right
+        if r == snapshot:
+            break
+    return r, log
+
+
+def test_closure_record_matches_reference():
+    for n, k, mats, r0, goal in _closure_cases(random.Random(2024)):
+        for stop in (-1, goal):
+            mask, log = reference_saturate_record(n, k, mats, r0, stop)
+            got, got_log = _closure_py.closure_record(n, k, mats, r0, stop)
+            assert (got, list(got_log.items())) == (mask, list(log.items())), (
+                n, k, mats, r0, stop)
 
 
 # the Mal'tsev matrix with 97 more copies of its constant column (2, 2): 100
