@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import _closure_py, _kernel
+from . import _kernel
 from .degeneracy import is_trivial
 from .matrix import STAR, ExtendedMatrix, entry_text, parse_matrix
 
@@ -72,12 +72,12 @@ def saturate(S, N, record=False, stop_at_goal=True):
 
     Returns (mask, log); the log (record=True only) maps each derived column
     code, in order of derivation, to (cost, hypothesis_index,
-    consumed_codes) of its witness.  Without record the closure kernel of
-    the active backend answers; with record the pure-Python
-    `_closure_py.closure_record` runs the closure in batch rounds (each
-    round reads the column set as it was at its start) and keeps, for each
-    new column, the first witness that consumes the fewest derived columns,
-    so that a dependency-minimal certificate can be read off the log.
+    consumed_codes) of its witness.  Without record `_kernel.closure_mask`
+    answers; with record `_kernel.closure_record` runs the closure in batch
+    rounds (each round reads the column set as it was at its start) and
+    keeps, for each new column, the first witness that consumes the fewest
+    derived columns, so that a dependency-minimal certificate can be read
+    off the log.
     """
     n, k = N.n, N.k
     r0 = col_star_mask(N)
@@ -86,7 +86,7 @@ def saturate(S, N, record=False, stop_at_goal=True):
     mats = [(M.m, instantiate(M, k)) for M in S]
     if not record:
         return _kernel.closure_mask(n, k, mats, r0, stop), None
-    return _closure_py.closure_record(n, k, mats, r0, stop)
+    return _kernel.closure_record(n, k, mats, r0, stop)
 
 
 # --- tableaux ---------------------------------------------------------------

@@ -262,6 +262,8 @@ def classify(n, m, k, *, with_order=False, with_groups=False,
     Returns a PosetGraph whose classes appear in canonical order; edges and
     groups are filled in only on request.
     """
+    if n < 1 or m < 0 or k < 0:
+        raise ValueError(f"window ({n}, {m}, {k}) needs n >= 1, m >= 0 and k >= 0")
     if checkpoint_dir is None:
         checkpoint_dir = os.environ.get(CHECKPOINT_ENV)
     probes = probes_for(n, k)

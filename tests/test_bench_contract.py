@@ -1,5 +1,6 @@
-"""The traced benchmark wraps mclex functions by module and name; these
-tests fail when a refactor moves or renames one of them."""
+"""The traced benchmark wraps mclex functions by module and name, and every
+benchmark run records mclex.BACKEND; these tests fail when a refactor moves
+or renames one of them."""
 
 import importlib
 import importlib.util
@@ -31,3 +32,11 @@ def test_saturate_record_is_third_argument():
     # the third positional argument
     params = list(inspect.signature(importlib.import_module("mclex.closure").saturate).parameters)
     assert params[2] == "record"
+
+
+def test_kernel_backend_exposed():
+    # perfbench/unit.py records mclex.BACKEND in every result line, so a
+    # refactor that drops it would fail the benchmark, not only this test
+    import mclex
+
+    assert mclex.BACKEND == "python"

@@ -172,6 +172,29 @@ def test_enumerate_counts_only(capsys):
     assert code == 0 and "classes: 6" in out
 
 
+@pytest.mark.parametrize("window, classes", [
+    (("1", "0", "0"), 1),
+    (("2", "0", "1"), 2),
+    (("1", "1", "0"), 1),
+])
+def test_enumerate_smallest_windows(capsys, window, classes):
+    code, out, _ = run(capsys, "enumerate", *window)
+    assert code == 0 and f"classes: {classes}" in out
+
+
+@pytest.mark.parametrize("window", [
+    ("-1", "2", "2"),
+    ("2", "-3", "1"),
+    ("2", "2", "-1"),
+    ("0", "0", "0"),
+])
+def test_enumerate_rejects_out_of_range_window(capsys, tmp_path, window):
+    out_json = tmp_path / "poset.json"
+    code, _out, err = run(capsys, "enumerate", *window, "--out", str(out_json))
+    assert code == 2 and "error:" in err
+    assert not out_json.exists()
+
+
 def test_enumerate_with_artifacts(capsys, tmp_path):
     out_json = tmp_path / "poset.json"
     out_dot = tmp_path / "hasse.dot"

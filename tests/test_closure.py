@@ -306,9 +306,3 @@ def test_tableau_json_round_trip(tmp_path):
     assert again == proof
     with open(path) as fh:
         json.load(fh)  # well-formed JSON
-
-
-def test_kernel_backend_exposed():
-    import mclex
-
-    assert mclex.BACKEND in ("c", "python")
