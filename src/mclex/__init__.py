@@ -26,7 +26,6 @@ from .closure import (
 )
 from .localization import (
     AdmissibleWitness,
-    LocalizedMatrix,
     is_admissible,
     loc_bottom,
     loc_equal,

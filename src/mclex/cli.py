@@ -12,18 +12,11 @@ import os
 import sys
 
 from . import __version__
-from .closure import (
-    check_tableau,
-    decide,
-    dump_tableau,
-    load_tableau,
-    verify_tableau,
-)
-from .degeneracy import DegeneracyClass, degeneracy_class, is_trivial
+from .closure import decide, dump_tableau, load_tableau, verify_tableau
+from .degeneracy import degeneracy_class, is_trivial
 from .enumeration import (
     ANCHORS,
     CheckpointError,
-    Decider,
     canonical,
     classify,
     subposet_by_localization,
@@ -146,7 +139,7 @@ def _dispatch(args):
         return 0
 
     if args.command == "loc":
-        print(localize(_read_matrix(args.matrix)).result.text())
+        print(localize(_read_matrix(args.matrix)).text())
         return 0
 
     if args.command == "loc-equal":
@@ -164,6 +157,8 @@ def _dispatch(args):
         return 0
 
     if args.command == "enumerate":
+        if args.workers < 1:
+            raise ValueError(f"--workers {args.workers}: needs at least 1")
         want_order = bool(args.out or args.dot)
         graph = classify(
             args.n,
@@ -214,7 +209,7 @@ def _oracle_check(full):
     """Cross-validate the syntactic tests and the closure engine against the
     exhaustive semantic oracle on a sweep of small matrices."""
     from . import oracle
-    from .closure import col_star_mask, encode_column, saturate
+    from .closure import encode_column, saturate
     from .enumeration import candidate_stream
     from .matrix import matrix
 

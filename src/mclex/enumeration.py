@@ -19,7 +19,7 @@ import json
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__, _kernel
 from .closure import decide, instantiate
@@ -27,8 +27,6 @@ from .degeneracy import DegeneracyClass, degeneracy_class
 from .localization import loc_equal, localize
 from .matrix import STAR, entry_key, matrix
 from .matrix import ExtendedMatrix
-
-CHECKPOINT_ENV = "MCLEX_CHECKPOINT_DIR"
 
 # Named localization targets (star-free matrices).
 ANCHORS = {
@@ -234,25 +232,23 @@ class PosetGraph:
 
 
 def _equiv(A, B):
+    """Class equality: A and B imply each other."""
     return decide([A], [B])[0] and decide([B], [A])[0]
 
 
 class Decider:
-    """Memoized directional implication between single matrices."""
+    """Directional implication between single matrices, as the Hasse edges
+    ask it.
 
-    def __init__(self):
-        self.cache = {}
+    A class with no state, kept only for the traced benchmark
+    (`perfbench/tracer.py`), which wraps `Decider.implies` and counts the
+    `enumeration.decide` calls below it as edge decides.  Membership and
+    grouping tests must not call it: they go through `_equiv`, so that
+    `implies` counts the edge decides alone.
+    """
 
     def implies(self, A, B):
-        key = (A.rows, B.rows)
-        hit = self.cache.get(key)
-        if hit is None:
-            hit = decide([A], [B])[0]
-            self.cache[key] = hit
-        return hit
-
-    def equivalent(self, A, B):
-        return self.implies(A, B) and self.implies(B, A)
+        return decide([A], [B])[0]
 
 
 def classify(n, m, k, *, with_order=False, with_groups=False,
@@ -262,12 +258,8 @@ def classify(n, m, k, *, with_order=False, with_groups=False,
     Returns a PosetGraph whose classes appear in canonical order; edges and
     groups are filled in only on request.
     """
-    if n < 1 or m < 0 or k < 0:
-        raise ValueError(f"window ({n}, {m}, {k}) needs n >= 1, m >= 0 and k >= 0")
-    if checkpoint_dir is None:
-        checkpoint_dir = os.environ.get(CHECKPOINT_ENV)
+    _check_window(n, m, k)
     probes = probes_for(n, k)
-    decider = Decider()
 
     classes = []
     sig_buckets = {}
@@ -337,44 +329,45 @@ def classify(n, m, k, *, with_order=False, with_groups=False,
 
     graph = PosetGraph(params=(n, m, k), classes=classes)
     if with_order:
-        graph.edges = compute_edges([c.rep for c in classes], decider, workers)
+        graph.edges = compute_edges([c.rep for c in classes], workers)
         graph.reduced = transitive_reduction(len(classes), graph.edges)
     if with_groups:
-        graph.groups = compute_groups(classes, decider)
+        graph.groups = compute_groups(classes)
     return graph
+
+
+def _check_window(n, m, k):
+    if n < 1 or m < 0 or k < 0:
+        raise ValueError(f"window ({n}, {m}, {k}) needs n >= 1, m >= 0 and k >= 0")
 
 
 # --- order and reduction -----------------------------------------------------
 
 
-def _edge_rows_worker(args):
-    rep_rows, i_list = args
-    reps = [matrix(r) for r in rep_rows]
-    edges = []
-    for i in i_list:
-        for j in range(len(reps)):
-            if i != j and decide([reps[i]], [reps[j]])[0]:
-                edges.append((i, j))
-    return edges
+def _edge_rows(reps, rows):
+    """The edges (i, j) leaving the representatives whose index i is in rows."""
+    implies = Decider().implies
+    return [
+        (i, j)
+        for i in rows
+        for j in range(len(reps))
+        if i != j and implies(reps[i], reps[j])
+    ]
 
 
-def compute_edges(reps, decider=None, workers=1):
-    """All directed implications between class representatives."""
+def compute_edges(reps, workers=1):
+    """All directed implications between class representatives, decided in
+    `workers` processes (this one alone when workers is 1)."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, not {workers}")
     P = len(reps)
+    if workers == 1:
+        return set(_edge_rows(reps, range(P)))
     edges = set()
-    if workers and workers > 1:
-        rep_rows = [r.rows for r in reps]
-        chunks = [list(range(i, P, workers)) for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_edge_rows_worker, [(rep_rows, c) for c in chunks]):
-                edges.update(part)
-        return edges
-    if decider is None:
-        decider = Decider()
-    for i in range(P):
-        for j in range(P):
-            if i != j and decider.implies(reps[i], reps[j]):
-                edges.add((i, j))
+    chunks = [range(i, P, workers) for i in range(workers)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for part in pool.map(_edge_rows, [reps] * workers, chunks):
+            edges.update(part)
     return edges
 
 
@@ -400,14 +393,14 @@ def transitive_reduction(count, edges):
 # --- localization grouping ---------------------------------------------------
 
 
-def compute_groups(classes, decider=None):
+def compute_groups(classes):
     """Partition classes by the property they impose on localizations.
 
     The two degenerate classes each stand alone; proper classes are grouped
-    through their localized matrices, bucketed by signature first.
+    through their localized matrices, bucketed by signature first.  A group
+    is named after the first anchor its localization equals: for a proper
+    class and a non-trivial anchor, that is `loc_equal`.
     """
-    if decider is None:
-        decider = Decider()
     groups = []
     loc_reps = {}  # group index -> localized representative
     buckets = {}
@@ -425,40 +418,30 @@ def compute_groups(classes, decider=None):
         if node.kind is DegeneracyClass.ANTI_TRIVIAL:
             groups.append(Group("anti-trivial", [node.id]))
             continue
-        L = localize(node.rep).result
+        L = localize(node.rep)
         sig = signature(L, probes)
-        assigned = False
         for gi in buckets.get(sig, []):
-            other = loc_reps[gi]
-            if decider.implies(L, other) and decider.implies(other, L):
+            if _equiv(L, loc_reps[gi]):
                 groups[gi].class_ids.append(node.id)
-                assigned = True
                 break
-        if not assigned:
+        else:
             gi = len(groups)
             groups.append(Group(None, [node.id]))
             loc_reps[gi] = L
             buckets.setdefault(sig, []).append(gi)
+    anchors = {name: localize(anchor) for name, anchor in ANCHORS.items()}
     for gi, L in loc_reps.items():
-        rep = next(
-            c.rep for c in classes if c.id == groups[gi].class_ids[0]
+        groups[gi].label = next(
+            (name for name, A in anchors.items() if _equiv(L, A)), "loc:" + L.text()
         )
-        label = None
-        for name, anchor in ANCHORS.items():
-            if loc_equal(rep, anchor):
-                label = name
-                break
-        groups[gi].label = label if label else "loc:" + L.text()
     return groups
 
 
-def subposet_by_localization(classes, anchor, decider=None, workers=1):
+def subposet_by_localization(classes, anchor, workers=1):
     """Classes localization-equal to the anchor, with their induced order."""
-    if decider is None:
-        decider = Decider()
     nodes = [c for c in classes if not _degenerate(c) and loc_equal(c.rep, anchor)]
     reps = [c.rep for c in nodes]
-    local = compute_edges(reps, decider, workers)
+    local = compute_edges(reps, workers)
     reduced = transitive_reduction(len(reps), local)
     return nodes, local, reduced
 
@@ -473,14 +456,15 @@ def _degenerate(node):
 def canonical(M, window=None):
     """First candidate of the window equivalent to M: the smallest class
     member by (rows, cols, vars, lex)."""
+    if window is None:
+        window = (M.n, M.m, M.k)
+    n, m, k = window
+    _check_window(n, m, k)
     kind = degeneracy_class(M)
     if kind is DegeneracyClass.TRIVIAL:
         return matrix([(1,)])
     if kind is DegeneracyClass.ANTI_TRIVIAL:
         return matrix([(STAR,)])
-    if window is None:
-        window = (M.n, M.m, M.k)
-    n, m, k = window
     probes = probes_for(n, k)
     sig_M = signature(M, probes)
     for rows in candidate_stream(n, m, k):
@@ -489,7 +473,7 @@ def canonical(M, window=None):
             continue
         if signature(C, probes) != sig_M:
             continue
-        if decide([C], [M])[0] and decide([M], [C])[0]:
+        if _equiv(C, M):
             return C
     raise ValueError("no window candidate is equivalent to the matrix")
 

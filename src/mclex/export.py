@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import json
 
-from .enumeration import PosetGraph
-
 
 def poset_to_json(graph):
     data = {

@@ -57,20 +57,13 @@ def is_admissible(M, x):
     return None
 
 
-@dataclass(frozen=True)
-class LocalizedMatrix:
-    source: ExtendedMatrix
-    result: ExtendedMatrix
-
-
 def localize(N):
     """Prepend an all-star left column, then substitute x_{k+1} for stars."""
     x = N.k + 1
     rows = tuple(
         (x,) + tuple(x if e == STAR else e for e in row) for row in N.rows
     )
-    result = ExtendedMatrix(N.n, N.m + 1, x, rows)
-    return LocalizedMatrix(N, result)
+    return ExtendedMatrix(N.n, N.m + 1, x, rows)
 
 
 def loc_equal(A, B):
@@ -78,8 +71,8 @@ def loc_equal(A, B):
     ta, tb = is_trivial(A), is_trivial(B)
     if ta or tb:
         return ta and tb
-    la = localize(A).result
-    lb = localize(B).result
+    la = localize(A)
+    lb = localize(B)
     return decide([la], [lb])[0] and decide([lb], [la])[0]
 
 

@@ -66,15 +66,8 @@ class ExtendedMatrix:
         return tuple(row[j] for row in self.rows)
 
     @property
-    def left_columns(self):
-        return [self.left_column(j) for j in range(self.m)]
-
-    @property
     def is_nonpointed(self):
         return all(e != STAR for row in self.rows for e in row)
-
-    def used_vars(self):
-        return {e for row in self.rows for e in row if e != STAR}
 
     def with_budget(self, k):
         """The same grid viewed with a (not smaller) variable budget."""
@@ -83,13 +76,10 @@ class ExtendedMatrix:
         return ExtendedMatrix(self.n, self.m, k, self.rows)
 
     def text(self):
-        return " ; ".join(
-            (" ".join(entry_text(e) for e in row[:-1]) + " | " + entry_text(row[-1])).strip()
-            for row in self.rows
-        )
+        return " ; ".join(self.grid_lines())
 
     def grid_lines(self):
-        """Multi-line rendering used for DOT node labels."""
+        """One text line per row; DOT node labels stack them."""
         return [
             (" ".join(entry_text(e) for e in row[:-1]) + " | " + entry_text(row[-1])).strip()
             for row in self.rows
@@ -190,17 +180,6 @@ def lex_key(M):
     parts.extend(entry_key(e) for e in M.right_column)
     for j in range(M.m):
         parts.extend(entry_key(M.rows[i][j]) for i in range(M.n))
-    return tuple(parts)
-
-
-def rows_lex_key(rows):
-    """lex_key computed directly on raw row tuples (enumeration hot path)."""
-    n = len(rows)
-    m = len(rows[0]) - 1
-    parts = [n, m]
-    parts.extend(entry_key(r[-1]) for r in rows)
-    for j in range(m):
-        parts.extend(entry_key(rows[i][j]) for i in range(n))
     return tuple(parts)
 
 

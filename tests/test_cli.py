@@ -140,6 +140,22 @@ def test_canonical_command(capsys):
     assert code == 0 and out.strip() == "1 * * | 1 ; 2 1 2 | 1"
 
 
+@pytest.mark.parametrize("matrix", [
+    "1 2 2 | 1 ; 2 1 2 | 1",
+    "1 2 | 1",  # trivial: its representative needs no window search
+])
+@pytest.mark.parametrize("window", [
+    ("0", "0", "0"),
+    ("-1", "2", "2"),
+    ("2", "-1", "2"),
+    ("3", "3", "-2"),
+])
+def test_canonical_rejects_out_of_range_window(capsys, matrix, window):
+    code, out, err = run(capsys, "canonical", matrix, "--window", *window)
+    assert code == 2 and out == ""
+    assert "error: window (" + ", ".join(window) + ")" in err
+
+
 def test_loc_command(capsys):
     code, out, _ = run(capsys, "loc", "1 * * | 1 ; 2 2 1 | 1")
     assert code == 0 and out.strip() == "3 1 3 3 | 1 ; 3 2 2 1 | 1"
@@ -193,6 +209,17 @@ def test_enumerate_rejects_out_of_range_window(capsys, tmp_path, window):
     code, _out, err = run(capsys, "enumerate", *window, "--out", str(out_json))
     assert code == 2 and "error:" in err
     assert not out_json.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("artifact", [(), ("--out", "poset.json")])
+def test_enumerate_rejects_workers_below_one(capsys, tmp_path, monkeypatch,
+                                             workers, artifact):
+    monkeypatch.chdir(tmp_path)
+    code, _out, err = run(capsys, "enumerate", "2", "3", "2", *artifact,
+                          "--workers", workers)
+    assert code == 2 and "error:" in err and "--workers" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_enumerate_with_artifacts(capsys, tmp_path):

@@ -11,6 +11,8 @@ from mclex import (
     candidate_stream,
     classify,
     compute_edges,
+    lex_key,
+    matrix,
     normalize,
     parse_matrix,
     transitive_reduction,
@@ -19,14 +21,13 @@ from mclex import (
 from mclex.degeneracy import DegeneracyClass
 from mclex.enumeration import (
     CheckpointError,
-    Decider,
     candidate_batches,
     probes_for,
     signature,
     subposet_by_localization,
 )
 from mclex.export import poset_to_dot, poset_to_json
-from mclex.matrix import rows_lex_key
+from mclex.localization import loc_equal, localize
 from test_matrix import all_matrices
 
 
@@ -46,7 +47,7 @@ def test_window_caps():
 def test_candidates_unique_and_ordered():
     seen = set()
     for shape, batch in candidate_batches(3, 3, 2):
-        keys = [(_maxvar(rows), rows_lex_key(rows)) for rows in batch]
+        keys = [(_maxvar(rows), lex_key(matrix(rows))) for rows in batch]
         assert keys == sorted(keys)
         for rows in batch:
             assert rows not in seen
@@ -179,6 +180,26 @@ def test_groups_of_figure_one():
     assert len(mal.class_ids) == 4
 
 
+def test_group_labels_of_one_variable_window():
+    # each proper group is named after the first anchor whose localization
+    # equals that of the group's first class, else after that localization
+    graph = classify(3, 6, 1, with_groups=True)
+    assert len(graph.groups) == 13
+    named = set()
+    for group in graph.groups:
+        first = graph.classes[group.class_ids[0]]
+        if first.kind is not DegeneracyClass.PROPER:
+            assert group.label == first.kind.value
+            continue
+        want = next(
+            (name for name, anchor in ANCHORS.items() if loc_equal(first.rep, anchor)),
+            "loc:" + localize(first.rep).text(),
+        )
+        assert group.label == want
+        named.add(want)
+    assert set(ANCHORS) <= named
+
+
 def test_subposet_by_localization_small():
     graph = classify(2, 3, 2)
     nodes, edges, reduced = subposet_by_localization(graph.classes, ANCHORS["maltsev"])
@@ -236,10 +257,16 @@ def test_transitive_reduction_chain():
 
 
 def test_compute_edges_workers_agree():
+    for window in [(2, 2, 2), (3, 3, 2)]:
+        reps = [c.rep for c in classify(*window).classes]
+        assert compute_edges(reps, workers=1) == compute_edges(reps, workers=2)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_compute_edges_rejects_workers_below_one(workers):
     reps = [c.rep for c in classify(2, 2, 2).classes]
-    seq = compute_edges(reps, Decider(), workers=1)
-    par = compute_edges(reps, None, workers=2)
-    assert seq == par
+    with pytest.raises(ValueError, match="workers"):
+        compute_edges(reps, workers=workers)
 
 
 # --- checkpointing -----------------------------------------------------------
@@ -254,6 +281,15 @@ def test_checkpoint_resume(tmp_path):
         c.rep.text() for c in first.classes
     ]
     assert [c.members for c in resumed.classes] == [c.members for c in first.classes]
+
+
+def test_checkpoint_env_variable_ignored(tmp_path, monkeypatch):
+    # checkpoints are written only where checkpoint_dir asks, never because
+    # of the environment
+    monkeypatch.setenv("MCLEX_CHECKPOINT_DIR", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    classify(2, 3, 2)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_checkpoint_corruption(tmp_path):

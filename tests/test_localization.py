@@ -83,17 +83,16 @@ def test_admissible_pair_localizes_back():
 
 def test_localize_strongly_unital():
     L = localize(SU2)
-    assert L.source is SU2
-    assert L.result.text() == "3 1 3 3 | 1 ; 3 2 2 1 | 1"
-    assert L.result.is_nonpointed
+    assert L.text() == "3 1 3 3 | 1 ; 3 2 2 1 | 1"
+    assert L.is_nonpointed
 
 
 def test_localize_top():
-    assert localize(ANTI_TRIVIAL).result.text() == "1 | 1"
+    assert localize(ANTI_TRIVIAL).text() == "1 | 1"
 
 
 def test_localize_unital_is_maltsev():
-    L = localize(UNITAL).result
+    L = localize(UNITAL)
     assert L.text() == "2 1 2 | 1 ; 2 2 1 | 1"
     assert normalize(L).rows == normalize(MALTSEV).rows
 
@@ -126,7 +125,7 @@ def test_star_free_matrix_viewed_pointed():
     # property
     for M in (MALTSEV, MAJORITY):
         assert loc_equal(M, M)
-        L = localize(M).result
+        L = localize(M)
         assert decide([M], [L])[0] or decide([L], [M])[0]
 
 

@@ -14,7 +14,7 @@ from mclex import (
     normalize,
     parse_matrix,
 )
-from mclex.matrix import STAR, entry_key, rows_lex_key
+from mclex.matrix import STAR, entry_key
 
 
 def all_matrices(n, m, k):
@@ -103,11 +103,6 @@ def test_lex_key_identity():
     for A in mats:
         for B in mats:
             assert (lex_key(A) == lex_key(B)) == (A.rows == B.rows)
-
-
-def test_rows_lex_key_matches_lex_key():
-    for M in all_matrices(2, 2, 1):
-        assert rows_lex_key(M.rows) == lex_key(M)
 
 
 def test_canonical_forms_are_lex_minimal():
