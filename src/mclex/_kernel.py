@@ -32,9 +32,10 @@ BACKEND = "python"
 
 
 # one entry per (universe, hypothesis).  compute_edges decides one
-# hypothesis against every goal in a row, so a few entries suffice: 32 hit
-# on 3,414 of the 3,804 packings of the Hasse order of (3,3,2) and (4,3,1)
-# (256 would hit on 3,438), while random certify queries rarely repeat one
+# hypothesis against the goals of a row, so a few entries suffice: on the
+# Hasse order of (3,3,2) and (4,3,1), 8 to 32 entries hit on 496 of the 676
+# packings (an unbounded cache on 505), while random certify queries rarely
+# repeat one
 @lru_cache(maxsize=32)
 def _packed(n, k, m, rows):
     """Rows packed into fixed-width fields, with their per-depth multiples.

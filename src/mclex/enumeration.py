@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import __version__, _kernel
 from .closure import decide, instantiate
-from .degeneracy import DegeneracyClass, degeneracy_class
+from .degeneracy import DegeneracyClass, degeneracy_class, is_trivial
 from .localization import loc_equal, localize
 from .matrix import STAR, entry_key, matrix
 from .matrix import ExtendedMatrix
@@ -236,19 +236,79 @@ def _equiv(A, B):
     return decide([A], [B])[0] and decide([B], [A])[0]
 
 
+# probes of the edge signatures: on the Hasse order of (3,3,2) and (4,3,1)
+# they cost 0.015 s in all, while (3,2) alone costs about 2 ms per matrix
+_EDGE_PROBES = ((2, 1), (3, 1))
+
+
 class Decider:
     """Directional implication between single matrices, as the Hasse edges
-    ask it.
+    ask it, answered from what earlier answers imply where they can.
 
-    A class with no state, kept only for the traced benchmark
-    (`perfbench/tracer.py`), which wraps `Decider.implies` and counts the
-    `enumeration.decide` calls below it as edge decides.  Membership and
-    grouping tests must not call it: they go through `_equiv`, so that
-    `implies` counts the edge decides alone.
+    Each matrix is numbered the first time it is seen and keeps a signature
+    over `_EDGE_PROBES` and two bitsets over the numbers: `succ`, the
+    matrices it is known to imply (itself included), and `nots`, those it
+    is known not to imply.  `implies(A, B)` answers, in this order:
+
+    1. False when A's signature has a bit that B's lacks;
+    2. True when B is in succ[A];
+    3. False when B is in nots[A];
+    4. otherwise `decide([A], [B])`, whose answer extends the bitsets.
+
+    Signatures: suppose A implies B, so B's right column derives from its
+    left columns and `*` under A's rules.  Instantiate that derivation
+    along any row map of B.  If a pointed relation is stable under A's
+    rules, each step keeps it closed, so it is stable under B's rules too:
+    stable(A) is a subset of stable(B), bit by bit.  A trivial A implies
+    everything without a derivation, so it gets the empty signature, which
+    refutes nothing.
+
+    Transitivity: `decide` is a complete decision procedure for a
+    preorder.  A => B gives A => every successor of B, and B =/=> every
+    known non-successor of A.  A =/=> B gives W =/=> B for every W that A
+    implies, since W => B would give A => B.
+
+    Every Hasse pair goes through `implies`, so the traced benchmark
+    (`perfbench/tracer.py`) counts the pairs as `Decider.implies` calls,
+    the `enumeration.decide` calls below them as edge decides and the rest
+    as hits.  Membership and grouping tests must not call it: they go
+    through `_equiv`, so that `implies` counts the edge decides alone.
     """
 
+    def __init__(self):
+        self._ids = {}
+        self._sig = []
+        self._succ = []
+        self._nots = []
+
+    def _number(self, M):
+        i = self._ids.get(M)
+        if i is None:
+            i = self._ids[M] = len(self._sig)
+            self._sig.append(() if is_trivial(M) else signature(M, _EDGE_PROBES))
+            self._succ.append(1 << i)
+            self._nots.append(0)
+        return i
+
     def implies(self, A, B):
-        return decide([A], [B])[0]
+        i, j = self._number(A), self._number(B)
+        if any(a & ~b for a, b in zip(self._sig[i], self._sig[j])):
+            return False
+        succ, nots = self._succ, self._nots
+        if (succ[i] >> j) & 1:
+            return True
+        if (nots[i] >> j) & 1:
+            return False
+        if decide([A], [B])[0]:
+            succ[i] |= succ[j]
+            nots[j] |= nots[i]
+            return True
+        bit, ws = 1 << j, succ[i]
+        while ws:
+            low = ws & -ws
+            nots[low.bit_length() - 1] |= bit
+            ws ^= low
+        return False
 
 
 def classify(n, m, k, *, with_order=False, with_groups=False,
@@ -259,6 +319,7 @@ def classify(n, m, k, *, with_order=False, with_groups=False,
     groups are filled in only on request.
     """
     _check_window(n, m, k)
+    _check_workers(workers)
     probes = probes_for(n, k)
 
     classes = []
@@ -341,6 +402,11 @@ def _check_window(n, m, k):
         raise ValueError(f"window ({n}, {m}, {k}) needs n >= 1, m >= 0 and k >= 0")
 
 
+def _check_workers(workers):
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, not {workers}")
+
+
 # --- order and reduction -----------------------------------------------------
 
 
@@ -358,8 +424,7 @@ def _edge_rows(reps, rows):
 def compute_edges(reps, workers=1):
     """All directed implications between class representatives, decided in
     `workers` processes (this one alone when workers is 1)."""
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, not {workers}")
+    _check_workers(workers)
     P = len(reps)
     if workers == 1:
         return set(_edge_rows(reps, range(P)))

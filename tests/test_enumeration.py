@@ -1,4 +1,7 @@
+import functools
+import itertools
 import json
+import random
 
 import pytest
 
@@ -18,7 +21,8 @@ from mclex import (
     transitive_reduction,
     window_caps,
 )
-from mclex.degeneracy import DegeneracyClass
+from mclex.closure import decide
+from mclex.degeneracy import DegeneracyClass, degeneracy_class
 from mclex.enumeration import (
     CheckpointError,
     candidate_batches,
@@ -256,17 +260,106 @@ def test_transitive_reduction_chain():
     assert transitive_reduction(3, edges) == {(0, 1), (1, 2)}
 
 
-def test_compute_edges_workers_agree():
-    for window in [(2, 2, 2), (3, 3, 2)]:
-        reps = [c.rep for c in classify(*window).classes]
-        assert compute_edges(reps, workers=1) == compute_edges(reps, workers=2)
-
-
 @pytest.mark.parametrize("workers", [0, -3])
 def test_compute_edges_rejects_workers_below_one(workers):
     reps = [c.rep for c in classify(2, 2, 2).classes]
     with pytest.raises(ValueError, match="workers"):
         compute_edges(reps, workers=workers)
+
+
+@pytest.mark.parametrize("with_order", [False, True])
+@pytest.mark.parametrize("workers", [0, -3])
+def test_classify_rejects_workers_below_one(workers, with_order, tmp_path):
+    # refused before any candidate is generated or checkpoint read
+    (tmp_path / "classify_2_3_2.json").write_text("not a checkpoint")
+    with pytest.raises(ValueError, match="workers"):
+        classify(2, 3, 2, with_order=with_order, workers=workers,
+                 checkpoint_dir=str(tmp_path))
+
+
+@functools.lru_cache(maxsize=None)
+def _reps(window):
+    return tuple(c.rep for c in classify(*window).classes)
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_edges(window):
+    """Every ordered pair of the window's representatives, decided."""
+    reps = _reps(window)
+    return {
+        (i, j)
+        for i, A in enumerate(reps)
+        for j, B in enumerate(reps)
+        if i != j and decide([A], [B])[0]
+    }
+
+
+@pytest.mark.parametrize("shuffle", [None, 7004])
+@pytest.mark.parametrize("window", [(2, 3, 2), (3, 3, 2), (4, 3, 1), (3, 6, 1)], ids=str)
+def test_pruned_edges_equal_brute_force(window, shuffle):
+    # the Decider answers most pairs from signatures and transitivity, so
+    # its answers depend on the order it is asked in; the hasse benchmark
+    # permutes the representatives
+    perm = list(range(len(_reps(window))))
+    if shuffle is not None:
+        random.Random(shuffle).shuffle(perm)
+    reps = [_reps(window)[p] for p in perm]
+    edges = {(perm[i], perm[j]) for i, j in compute_edges(reps)}
+    assert edges == _brute_edges(window)
+
+
+def test_compute_edges_workers_agree():
+    # each worker process prunes its own strided rows
+    for window in [(2, 2, 2), (3, 3, 2)]:
+        reps = list(_reps(window))
+        assert compute_edges(reps, workers=2) == compute_edges(reps) == _brute_edges(window)
+
+
+def test_pruned_edges_decide_few_pairs(monkeypatch):
+    calls = []
+
+    def counting(S, U, record=False):
+        calls.append(1)
+        return decide(S, U, record)
+
+    monkeypatch.setattr(mclex.enumeration, "decide", counting)
+    reps = _reps((3, 3, 2))
+    compute_edges(reps)
+    assert len(reps) * (len(reps) - 1) == 1722
+    assert len(calls) <= 600
+
+
+# --- properties of decide on random candidates --------------------------------
+
+
+def _random_proper(window, count, seed):
+    proper = [
+        M
+        for M in map(matrix, candidate_stream(*window))
+        if degeneracy_class(M) is DegeneracyClass.PROPER
+    ]
+    return random.Random(seed).sample(proper, count)
+
+
+@pytest.mark.parametrize("window", [(3, 3, 2), (4, 3, 1)], ids=str)
+def test_decide_is_a_preorder_refined_by_signatures(window):
+    mats = _random_proper(window, 20, seed=sum(window))
+    implies = {
+        (i, j): decide([A], [B])[0]
+        for (i, A), (j, B) in itertools.product(enumerate(mats), repeat=2)
+    }
+    assert all(implies[i, i] for i in range(len(mats)))
+    chains = 0
+    for a, b, c in itertools.product(range(len(mats)), repeat=3):
+        if implies[a, b] and implies[b, c]:
+            chains += len({a, b, c}) == 3
+            assert implies[a, c], (mats[a], mats[b], mats[c])
+    assert chains  # some triples do test transitivity
+    probes = probes_for(4, 2)
+    sigs = [signature(M, probes) for M in mats]
+    for (i, j), ok in implies.items():
+        if ok:
+            assert all(a & ~b == 0 for a, b in zip(sigs[i], sigs[j])), (mats[i], mats[j])
 
 
 # --- checkpointing -----------------------------------------------------------
