@@ -6,7 +6,8 @@ pattern, ordered distinct left columns, per-row first-occurrence variable
 naming, block-sorted rows), streamed in (rows, cols, vars, lex) order so the
 first member seen of each class is its canonical representative.
 
-Classes are separated cheaply by a semantic signature: the family of small
+Candidates with the same entry-level normal form share a class outright.
+The others are separated cheaply by a semantic signature: the family of small
 pointed relations stable under a matrix's derivation rules is an invariant
 of the matrix class, so differing signatures can never mean equal classes.
 Within a signature bucket the closure engine confirms equality both ways.
@@ -25,8 +26,7 @@ from . import __version__, _kernel
 from .closure import decide, instantiate
 from .degeneracy import DegeneracyClass, degeneracy_class, is_trivial
 from .localization import loc_equal, localize
-from .matrix import STAR, entry_key, matrix
-from .matrix import ExtendedMatrix
+from .matrix import STAR, ExtendedMatrix, _normalize_rows, entry_key, matrix
 
 # Named localization targets (star-free matrices).
 ANCHORS = {
@@ -180,17 +180,25 @@ def _probe_masks(n_p, k_p):
 
 
 def probes_for(n, k):
-    # no (1, 1) probe: its relations are {*} and the full one, and {*} is
-    # stable unless a row's variable right entry is missing from its left
-    # part, which makes the matrix trivial.  So the probe reads the same on
-    # every non-trivial matrix and tells no proper classes apart.
+    # Signatures only choose which classes a candidate is decided against,
+    # so the probe list sets the speed of classify, never its output.
+    # Measured in pure Python, before classify had its normal-form memo:
+    # - no (1, 1) probe: its relations are {*} and the full one, and {*} is
+    #   stable unless a row's variable right entry is missing from its left
+    #   part, which makes the matrix trivial.  So the probe reads the same
+    #   on every non-trivial matrix and tells no proper classes apart.
+    # - no (3, 2) probe: it took 0.32 s of the 0.55-0.7 s of (3,3,2) and
+    #   saved 2 of 818 decides; with it (3,4,2) took 34.0 s instead of
+    #   14.2 s, to save 1.6k of 34.4k decides.
+    # - (2, 2) stays: without it (3,4,2) took 15.0 s instead of 13.0 s,
+    #   with 37.4k decides instead of 34.4k.
+    # - (4, 1) stays: without it (4,6,1) took 17.9 s instead of 15.5 s,
+    #   with 89.1k decides instead of 33.7k.
     probes = [(2, 1), (3, 1)]
     if k >= 2:
         probes.append((2, 2))
     if n >= 4:
         probes.append((4, 1))
-    if n >= 3 and k >= 2:
-        probes.append((3, 2))
     return probes
 
 
@@ -324,6 +332,7 @@ def classify(n, m, k, *, with_order=False, with_groups=False,
 
     classes = []
     sig_buckets = {}
+    by_normal_form = {}  # _normalize_rows of a proper member -> its class id
     degenerate_ids = {}
     done = set()
 
@@ -362,27 +371,36 @@ def classify(n, m, k, *, with_order=False, with_groups=False,
                 else:
                     classes[cid].members += 1
                 continue
+            # Row and column order, per-row renaming and dropping duplicate
+            # or all-star columns and duplicate rows all keep the class, so
+            # candidates with one normal form share a class: the first of
+            # them places it, the rest need no signature and no decide.
+            form = _normalize_rows(rows)
+            cid = by_normal_form.get(form)
+            if cid is not None:
+                classes[cid].members += 1
+                last_cid = cid
+                continue
             # consecutive candidates often share a class; checking that first
-            # skips the signature computation.  Membership tests are not
-            # memoized: every candidate is seen once, caching them only
-            # grows memory with the window size.
+            # skips the signature computation
             if last_cid is not None and _equiv(M, classes[last_cid].rep):
                 classes[last_cid].members += 1
-                continue
-            sig = signature(M, probes)
-            bucket = sig_buckets.setdefault(sig, [])
-            for cid in reversed(bucket):
-                if cid == last_cid:
-                    continue
-                if _equiv(M, classes[cid].rep):
-                    classes[cid].members += 1
-                    last_cid = cid
-                    break
             else:
-                node = ClassNode(len(classes), M, DegeneracyClass.PROPER, sig=sig)
-                classes.append(node)
-                bucket.append(node.id)
-                last_cid = node.id
+                sig = signature(M, probes)
+                bucket = sig_buckets.setdefault(sig, [])
+                for cid in reversed(bucket):
+                    if cid == last_cid:
+                        continue
+                    if _equiv(M, classes[cid].rep):
+                        classes[cid].members += 1
+                        last_cid = cid
+                        break
+                else:
+                    node = ClassNode(len(classes), M, DegeneracyClass.PROPER, sig=sig)
+                    classes.append(node)
+                    bucket.append(node.id)
+                    last_cid = node.id
+            by_normal_form[form] = last_cid
         done.add(shape)
         if progress:
             progress(shape, len(classes))

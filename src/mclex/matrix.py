@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 STAR = 0
 
@@ -311,7 +310,6 @@ def _minimize(rows):
     return best_rows
 
 
-@lru_cache(maxsize=65536)
 def _normalize_rows(rows):
     # Per-row renaming can make rows equal (1 2 | 1 ; 2 1 | 2 minimizes to
     # two copies of 1 2 | 1), so stripping and minimizing repeat until

@@ -281,6 +281,16 @@ def test_enumerate_checkpoint_other_version(capsys, tmp_path):
     assert code == 2 and "error:" in err and "another build" in err
 
 
+def test_enumerate_checkpoint_other_probes(capsys, tmp_path):
+    state = {"version": __version__, "probes": [[2, 1], [3, 1], [2, 2], [3, 2]],
+             "params": [3, 3, 2], "done_batches": [], "classes": []}
+    (tmp_path / "classify_3_3_2.json").write_text(json.dumps(state))
+    code, _out, err = run(
+        capsys, "enumerate", "3", "3", "2", "--checkpoint", str(tmp_path)
+    )
+    assert code == 2 and "written by another build" in err
+
+
 # --- error handling ----------------------------------------------------------
 
 

@@ -32,7 +32,7 @@ from mclex.enumeration import (
 )
 from mclex.export import poset_to_dot, poset_to_json
 from mclex.localization import loc_equal, localize
-from test_matrix import all_matrices
+from test_matrix import all_matrices, symmetric_copy
 
 
 # --- caps and candidate generation -------------------------------------------
@@ -355,11 +355,42 @@ def test_decide_is_a_preorder_refined_by_signatures(window):
             chains += len({a, b, c}) == 3
             assert implies[a, c], (mats[a], mats[b], mats[c])
     assert chains  # some triples do test transitivity
-    probes = probes_for(4, 2)
+    # inclusion holds for every probe; (3, 2), which no window takes, adds
+    # the one shape with three rows over two variables
+    probes = probes_for(4, 2) + [(3, 2)]
     sigs = [signature(M, probes) for M in mats]
     for (i, j), ok in implies.items():
         if ok:
             assert all(a & ~b == 0 for a, b in zip(sigs[i], sigs[j])), (mats[i], mats[j])
+
+
+@pytest.mark.parametrize("window", [(3, 3, 2), (4, 3, 1)], ids=str)
+def test_normalize_properties_on_random_candidates(window):
+    # classify places candidates by their normal form, so it must be a
+    # class invariant that is stable under the symmetries it factors out
+    rng = random.Random(sum(window) + 1)
+    for M in _random_proper(window, 20, seed=sum(window) + 1):
+        N = normalize(M)
+        assert normalize(N) == N, M
+        assert decide([M], [N])[0] and decide([N], [M])[0], M
+        for _ in range(5):
+            C = symmetric_copy(M, rng)
+            assert normalize(C) == N, (M, C)
+
+
+@pytest.mark.parametrize("window", [(3, 3, 2), (4, 3, 1)], ids=str)
+def test_classify_computes_few_signatures(window, monkeypatch):
+    # candidates that share a normal form are placed without a signature;
+    # (3,3,2) and (4,3,1) need 128 each, 183 and 171 without that
+    calls = []
+
+    def counting(M, probes):
+        calls.append(1)
+        return signature(M, probes)
+
+    monkeypatch.setattr(mclex.enumeration, "signature", counting)
+    classify(*window)
+    assert len(calls) <= 140
 
 
 # --- checkpointing -----------------------------------------------------------
@@ -458,6 +489,15 @@ def test_checkpoint_other_build_refused(tmp_path, change):
     path.write_text(json.dumps(state))
     with pytest.raises(CheckpointError, match="another build"):
         classify(2, 3, 2, checkpoint_dir=str(tmp_path))
+
+
+def test_checkpoint_of_the_old_probes_refused(tmp_path):
+    # (3, 3, 2) checkpoints were once stamped with a (3, 2) probe as well
+    state = {"version": mclex.__version__, "probes": [[2, 1], [3, 1], [2, 2], [3, 2]],
+             "params": [3, 3, 2], "done_batches": [], "classes": []}
+    (tmp_path / "classify_3_3_2.json").write_text(json.dumps(state))
+    with pytest.raises(CheckpointError, match="another build"):
+        classify(3, 3, 2, checkpoint_dir=str(tmp_path))
 
 
 # --- export ------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from conftest import (
@@ -23,6 +25,7 @@ from mclex import (
     substitute_star,
 )
 from mclex.enumeration import ANCHORS
+from test_enumeration import _random_proper
 
 
 # --- star substitution -------------------------------------------------------
@@ -118,6 +121,18 @@ def test_loc_equal_equivalence_relation():
             for C in pool:
                 if loc_equal(A, B) and loc_equal(B, C):
                     assert loc_equal(A, C)
+
+
+@pytest.mark.parametrize("window", [(3, 3, 2), (4, 3, 1)], ids=str)
+def test_loc_equal_is_two_decides_on_localized_matrices(window):
+    mats = _random_proper(window, 12, seed=sum(window) + 2)
+    agree = 0
+    for A, B in itertools.combinations(mats, 2):
+        la, lb = localize(A), localize(B)
+        expected = decide([la], [lb])[0] and decide([lb], [la])[0]
+        assert loc_equal(A, B) == expected, (A, B)
+        agree += expected
+    assert agree  # some pairs are localization-equal
 
 
 def test_star_free_matrix_viewed_pointed():

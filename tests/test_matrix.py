@@ -45,6 +45,17 @@ def test_parse_newline_rows_and_header():
     assert (M.n, M.m, M.k) == (2, 2, 3)
 
 
+def test_parse_text_round_trip_random():
+    rng = random.Random(31)
+    for _ in range(300):
+        n, m, k = rng.randint(1, 4), rng.randint(0, 4), rng.randint(0, 3)
+        rows = [tuple(rng.randint(0, k) for _ in range(m + 1)) for _ in range(n)]
+        M = matrix(rows)
+        assert parse_matrix(M.text()) == M, rows
+        # the header keeps a budget above the variables used
+        assert parse_matrix(f"#nmk {n} {m} {k}\n" + M.text()) == matrix(rows, k), rows
+
+
 def test_parse_header_budget_too_small():
     with pytest.raises(MatrixParseError):
         parse_matrix("#nmk 1 1 1\n2 | 1")
@@ -143,25 +154,29 @@ def test_normalize_budget_soundness():
         assert normalize(M.with_budget(3)).rows == normalize(M).rows
 
 
+def symmetric_copy(M, rng):
+    """M with its rows and left columns shuffled and each row's variables
+    renamed by its own permutation: a member of M's class."""
+    rows = list(M.rows)
+    rng.shuffle(rows)
+    cols = list(range(M.m))
+    rng.shuffle(cols)
+    out = []
+    for row in rows:
+        perm = list(range(1, M.k + 1))
+        rng.shuffle(perm)
+        row = [row[j] for j in cols] + [row[-1]]
+        out.append(tuple(STAR if e == STAR else perm[e - 1] for e in row))
+    return matrix(out, M.k)
+
+
 def test_normalize_symmetry_invariance():
     rng = random.Random(7)
     pool = [MALTSEV, SU2, UNITAL, SUBTRACTION, parse_matrix("1 2 * | 2 ; * 1 1 | 1")]
     for M in pool:
         base = normalize(M).rows
         for _ in range(20):
-            rows = list(M.rows)
-            rng.shuffle(rows)
-            cols = list(range(M.m))
-            rng.shuffle(cols)
-            rows = [tuple(r[j] for j in cols) + (r[-1],) for r in rows]
-            # per-row variable permutation
-            out = []
-            for r in rows:
-                perm = list(range(1, M.k + 1))
-                rng.shuffle(perm)
-                ren = {i + 1: perm[i] for i in range(M.k)}
-                out.append(tuple(STAR if e == STAR else ren[e] for e in r))
-            assert normalize(matrix(out, M.k)).rows == base
+            assert normalize(symmetric_copy(M, rng)).rows == base
 
 
 def test_normalize_preserves_class_sample():
