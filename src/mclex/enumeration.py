@@ -550,14 +550,23 @@ def canonical(M, window=None):
         return matrix([(STAR,)])
     probes = probes_for(n, k)
     sig_M = signature(M, probes)
+    # candidates with one normal form share a class, so a candidate with
+    # M's form is equivalent to M, and one with the form of a candidate
+    # found not equivalent is not
+    form_M = _normalize_rows(M.rows)
+    forms_not_M = set()
     for rows in candidate_stream(n, m, k):
         C = matrix(rows)
         if degeneracy_class(C) is not DegeneracyClass.PROPER:
             continue
-        if signature(C, probes) != sig_M:
-            continue
-        if _equiv(C, M):
+        form = _normalize_rows(rows)
+        if form == form_M:
             return C
+        if form in forms_not_M:
+            continue
+        if signature(C, probes) == sig_M and _equiv(C, M):
+            return C
+        forms_not_M.add(form)
     raise ValueError("no window candidate is equivalent to the matrix")
 
 

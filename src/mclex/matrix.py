@@ -7,7 +7,6 @@ order is x1 < x2 < ... < xk < *, i.e. the star sorts last.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 STAR = 0
@@ -94,7 +93,8 @@ def matrix(rows, k=None):
     used = max((e for row in rows for e in row), default=0)
     if k is None:
         k = used
-    return ExtendedMatrix(len(rows), len(rows[0]) - 1, k, rows)
+    # no rows: n = 0, which ExtendedMatrix rejects
+    return ExtendedMatrix(len(rows), len(rows[0]) - 1 if rows else 0, k, rows)
 
 
 def parse_matrix(text):
@@ -231,83 +231,44 @@ def _strip_duplicates(rows):
 
 
 def _minimize(rows):
-    """Smallest column-major reading over row order, column order and per-row
-    variable renaming.  Small inputs only; branch-and-bound on the key."""
-    n = len(rows)
+    """Smallest column-major reading over row order, left-column order and
+    per-row variable renaming.
+
+    Each row is renamed by first occurrence along its own reading, right
+    entry first, so for a fixed column order the smallest reading lists the
+    renamed rows sorted.  Rows tied on the first j columns have equal
+    prefixes, so those columns of the sorted reading do not depend on the
+    later ones: column orders grow one column at a time, and only those
+    whose sorted reading is smallest, ties included, are extended.
+    """
     m = len(rows[0]) - 1
-    best_key = None
-    best_rows = None
-
-    for perm in itertools.permutations(range(n)):
-        # renamed right entries: any variable becomes x1
-        rights = [1 if rows[i][-1] != STAR else STAR_KEY for i in perm]
-        if rights != sorted(rights):
-            continue
-        prefix = list(rights)
-        if best_key is not None and tuple(prefix) > best_key[: len(prefix)]:
-            continue
-        # per-row renaming state: mapping + next fresh index
-        maps = []
-        for i in perm:
-            if rows[i][-1] != STAR:
-                maps.append(({rows[i][-1]: 1}, 2))
-            else:
-                maps.append(({}, 1))
-        cols = [tuple(rows[i][j] for i in perm) for j in range(m)]
-
-        stack = [(tuple(range(m)), maps, prefix, [])]
-        while stack:
-            remaining, state, key, picked = stack.pop()
-            if best_key is not None and tuple(key) > best_key[: len(key)]:
-                continue
-            if not remaining:
-                full = tuple(key)
-                if best_key is None or full < best_key:
-                    best_key = full
-                    out_rows = []
-                    for r in range(n):
-                        left = tuple(picked[c][r] for c in range(m))
-                        out_rows.append(left + (1 if rights[r] == 1 else STAR,))
-                    best_rows = out_rows
-                continue
-            projections = {}
+    # a column order: the left columns not yet placed, and per row its
+    # renamed entries so far with the variables met so far, in order
+    start = [((STAR_KEY,), ()) if r[-1] == STAR else ((1,), (r[-1],)) for r in rows]
+    orders = [(tuple(range(m)), start)]
+    for _ in range(m):
+        best, kept = None, []
+        for remaining, state in orders:
             for j in remaining:
-                proj = []
-                for r in range(n):
-                    e = cols[j][r]
-                    if e == STAR:
-                        proj.append(STAR_KEY)
-                    else:
-                        mp, nxt = state[r]
-                        proj.append(mp.get(e, nxt))
-                projections.setdefault(tuple(proj), []).append(j)
-            smallest = min(projections)
-            for j in projections[smallest]:
-                new_state = []
-                col_entries = []
-                for r in range(n):
-                    e = cols[j][r]
-                    mp, nxt = state[r]
-                    if e == STAR:
-                        new_state.append((mp, nxt))
-                        col_entries.append(STAR)
-                    elif e in mp:
-                        new_state.append((mp, nxt))
-                        col_entries.append(mp[e])
-                    else:
-                        mp2 = dict(mp)
-                        mp2[e] = nxt
-                        new_state.append((mp2, nxt + 1))
-                        col_entries.append(nxt)
-                stack.append(
-                    (
-                        tuple(x for x in remaining if x != j),
-                        new_state,
-                        key + list(smallest),
-                        picked + [tuple(col_entries)],
-                    )
-                )
-    return best_rows
+                grown = [_place(row[j], key, met) for row, (key, met) in zip(rows, state)]
+                # kept orders share the earlier columns, so the new one decides
+                col = [key[-1] for key, _ in sorted(grown)]
+                if best is None or col < best:
+                    best, kept = col, []
+                if col == best:
+                    kept.append((tuple(x for x in remaining if x != j), grown))
+        orders = kept
+    return [tuple(STAR if e == STAR_KEY else e for e in key[1:] + key[:1])
+            for key, _ in sorted(orders[0][1])]
+
+
+def _place(e, key, met):
+    """A row's renamed entries and met variables, extended by entry e."""
+    if e == STAR:
+        return key + (STAR_KEY,), met
+    if e in met:
+        return key + (met.index(e) + 1,), met
+    return key + (len(met) + 1,), met + (e,)
 
 
 def _normalize_rows(rows):

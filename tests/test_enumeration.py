@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import json
 import random
@@ -32,6 +33,7 @@ from mclex.enumeration import (
 )
 from mclex.export import poset_to_dot, poset_to_json
 from mclex.localization import loc_equal, localize
+from mclex.matrix import _normalize_rows
 from test_matrix import all_matrices, symmetric_copy
 
 
@@ -252,6 +254,32 @@ def test_canonical_no_window_member():
         canonical(MALTSEV, (2, 3, 1))  # needs two variables
 
 
+def test_canonical_of_every_representative_and_its_copies():
+    # each representative is the first candidate of its class, and a copy
+    # under row, column and per-row renaming symmetries maps back to it
+    rng = random.Random(332)
+    for rep in _reps((3, 3, 2)):
+        assert canonical(rep, (3, 3, 2)) == rep, rep
+        C = symmetric_copy(rep, rng)
+        assert canonical(C, (3, 3, 2)) == rep, (rep, C)
+
+
+def test_canonical_computes_few_signatures(monkeypatch):
+    # candidates that share a normal form with M, or with a candidate found
+    # not equivalent to M, need no signature: the last class of (3,3,2)
+    # takes 175 instead of 267
+    last = _reps((3, 3, 2))[-1]
+    calls = []
+
+    def counting(M, probes):
+        calls.append(1)
+        return signature(M, probes)
+
+    monkeypatch.setattr(mclex.enumeration, "signature", counting)
+    assert canonical(last, (3, 3, 2)) == last
+    assert len(calls) <= 200
+
+
 # --- order utilities ---------------------------------------------------------
 
 
@@ -316,6 +344,8 @@ def test_compute_edges_workers_agree():
 
 
 def test_pruned_edges_decide_few_pairs(monkeypatch):
+    # classified before counting: run alone, the classify decides would count
+    reps = _reps((3, 3, 2))
     calls = []
 
     def counting(S, U, record=False):
@@ -323,7 +353,6 @@ def test_pruned_edges_decide_few_pairs(monkeypatch):
         return decide(S, U, record)
 
     monkeypatch.setattr(mclex.enumeration, "decide", counting)
-    reps = _reps((3, 3, 2))
     compute_edges(reps)
     assert len(reps) * (len(reps) - 1) == 1722
     assert len(calls) <= 600
@@ -376,6 +405,18 @@ def test_normalize_properties_on_random_candidates(window):
         for _ in range(5):
             C = symmetric_copy(M, rng)
             assert normalize(C) == N, (M, C)
+
+
+def test_normal_forms_pinned():
+    # the normal forms of every (3,3,2) and (4,3,1) candidate, in stream
+    # order; the digest was taken when _minimize still searched row orders
+    digest = hashlib.sha256()
+    for window in [(3, 3, 2), (4, 3, 1)]:
+        for rows in candidate_stream(*window):
+            digest.update(repr(_normalize_rows(rows)).encode())
+    assert digest.hexdigest() == (
+        "e0afe816aea9712f2f303041df4e7ec54377d6226d01da534c5fe0075103a211"
+    )
 
 
 @pytest.mark.parametrize("window", [(3, 3, 2), (4, 3, 1)], ids=str)

@@ -33,3 +33,51 @@ def test_unused_imports_detected():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def _defined(node):
+    """Names a top-level statement defines as a function, class or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def _read(node):
+    """Names a statement reads, as a variable or as an attribute."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def unread_private_names(sources):
+    """(module, name) of each private module-level name that no other
+    top-level statement of the modules reads; importing is not reading."""
+    statements = [
+        (module, node) for module, source in sources.items() for node in ast.parse(source).body
+    ]
+    reads = [_read(node) for _, node in statements]
+    return [
+        (module, name)
+        for i, (module, node) in enumerate(statements)
+        for name in _defined(node)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in r for j, r in enumerate(reads) if j != i)
+    ]
+
+
+def test_unread_private_names_detected():
+    sources = {
+        "a.py": "_used = 1\n_unused = 2\ndef _rec(n):\n    return _rec(n)\nclass _C:\n    pass\n",
+        "b.py": "from .a import _used\nprint(_used)\n",
+    }
+    assert unread_private_names(sources) == [("a.py", "_unused"), ("a.py", "_rec"), ("a.py", "_C")]
+
+
+def test_no_unread_private_names():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []

@@ -14,7 +14,7 @@ from mclex import (
     normalize,
     parse_matrix,
 )
-from mclex.matrix import STAR, entry_key
+from mclex.matrix import STAR, STAR_KEY, _minimize, _strip_duplicates, entry_key
 
 
 def all_matrices(n, m, k):
@@ -179,6 +179,35 @@ def test_normalize_symmetry_invariance():
             assert normalize(symmetric_copy(M, rng)).rows == base
 
 
+def brute_minimize(rows):
+    """Smallest column-major reading over every row order and every left
+    column order, each row renamed by first occurrence along its own
+    reading (right entry first), the star sorting last."""
+    m = len(rows[0]) - 1
+    best = None
+    for cols in itertools.permutations(range(m)):
+        renamed = []
+        for row in rows:
+            names = {}
+            renamed.append(tuple(
+                STAR_KEY if e == STAR else names.setdefault(e, len(names) + 1)
+                for e in (row[-1],) + tuple(row[j] for j in cols)
+            ))
+        for perm in itertools.permutations(renamed):
+            reading = [row[c] for c in range(m + 1) for row in perm]
+            if best is None or reading < best[0]:
+                best = reading, perm
+    return [tuple(STAR if e == STAR_KEY else e for e in row[1:] + row[:1]) for row in best[1]]
+
+
+def test_minimize_matches_brute_force():
+    rng = random.Random(23)
+    for _ in range(1000):
+        n, m, k = rng.randint(1, 4), rng.randint(0, 4), rng.randint(0, 3)
+        rows = _strip_duplicates([tuple(rng.randint(0, k) for _ in range(m + 1)) for _ in range(n)])
+        assert _minimize(rows) == brute_minimize(rows), rows
+
+
 def test_normalize_preserves_class_sample():
     rng = random.Random(11)
     mats = [m for m in all_matrices(2, 2, 2)]
@@ -212,6 +241,11 @@ def test_dimension_guards():
         ExtendedMatrix(1, 1, 0, ((1, 0),))
     with pytest.raises(ValueError):
         ExtendedMatrix(2, 1, 1, ((1, 1),))
+
+
+def test_matrix_of_no_rows_rejected():
+    with pytest.raises(ValueError):
+        matrix([])
 
 
 def test_normalize_repeats_until_renaming_exposes_no_duplicates():
