@@ -251,7 +251,32 @@ def _col_json(col):
     return [entry_text(e) for e in col]
 
 
+_JSON_KINDS = {list: "a list", str: "a string", int: "an integer", bool: "a boolean"}
+# (key, JSON type) of each part of a certificate
+_PROOF_FIELDS = (("goal", str), ("hypotheses", list), ("steps", list), ("verdict", bool))
+_STEP_FIELDS = (("added", list), ("witnesses", list), ("consumed", list))
+_WITNESS_FIELDS = (("matrix", int), ("row", int), ("map", list))
+
+
+def _fields(obj, fields):
+    """obj's values under the keys of fields, each of exactly its JSON type
+    (so true is no index); ValueError if obj is no object or one is not."""
+    if type(obj) is not dict:
+        keys = ", ".join(key for key, _ in fields)
+        raise ValueError(f"malformed tableau: expected an object with {keys}")
+    values = []
+    for key, kind in fields:
+        value = obj.get(key)
+        if type(value) is not kind:
+            problem = f"{key!r} must be {_JSON_KINDS[kind]}" if key in obj else f"missing {key!r}"
+            raise ValueError(f"malformed tableau: {problem}")
+        values.append(value)
+    return values
+
+
 def _col_from_json(items):
+    if type(items) is not list or not {str}.issuperset(map(type, items)):
+        raise ValueError("malformed tableau: a column must be a list of strings")
     return tuple(STAR if t == "*" else int(t) for t in items)
 
 
@@ -275,26 +300,24 @@ def tableau_to_json(proof):
 
 
 def tableau_from_json(data):
-    goal = parse_matrix(data["goal"])
-    hyps = tuple(parse_matrix(t) for t in data["hypotheses"])
-    steps = []
-    for s in data["steps"]:
-        witnesses = tuple(
-            (
-                w["matrix"],
-                w["row"],
-                tuple(STAR if t == "*" else int(t) for t in w["map"]),
-            )
-            for w in s["witnesses"]
-        )
-        steps.append(
+    """The proof a JSON certificate holds; ValueError if it is malformed."""
+    goal, hyps, steps, verdict = _fields(data, _PROOF_FIELDS)
+    if not {str}.issuperset(map(type, hyps)):
+        raise ValueError("malformed tableau: a hypothesis must be a string")
+    proof_steps = []
+    for s in steps:
+        added, witnesses, consumed = _fields(s, _STEP_FIELDS)
+        witnesses = [_fields(w, _WITNESS_FIELDS) for w in witnesses]
+        proof_steps.append(
             TableauStep(
-                _col_from_json(s["added"]),
-                witnesses,
-                tuple(_col_from_json(c) for c in s["consumed"]),
+                _col_from_json(added),
+                tuple((mi, ri, _col_from_json(fmap)) for mi, ri, fmap in witnesses),
+                tuple(_col_from_json(c) for c in consumed),
             )
         )
-    return TableauProof(goal, hyps, tuple(steps), bool(data["verdict"]))
+    return TableauProof(
+        parse_matrix(goal), tuple(parse_matrix(t) for t in hyps), tuple(proof_steps), verdict
+    )
 
 
 def dump_tableau(proof, path):

@@ -7,18 +7,11 @@ Both properties are decidable by direct inspection of the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import combinations
 
 from .matrix import STAR
-
-
-@dataclass(frozen=True)
-class _RowView:
-    rows: tuple
-    n: int
-    m: int
 
 
 class DegeneracyClass(Enum):
@@ -27,101 +20,48 @@ class DegeneracyClass(Enum):
     PROPER = "proper"
 
 
-class _UnionFind:
-    def __init__(self, size):
-        self.parent = list(range(size))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
-def _pair_join(M, i, ip):
-    """Join of the row-i kernel, row-ip kernel and the star-pair relation on
-    left column positions, as a union-find over 0..m-1."""
-    uf = _UnionFind(M.m)
-    for r in (i, ip):
-        by_entry = {}
-        for j in range(M.m):
-            e = M.rows[r][j]
-            if e in by_entry:
-                uf.union(by_entry[e], j)
-            else:
-                by_entry[e] = j
-    # columns holding a star in row i or row ip are all related
-    star_cols = [j for j in range(M.m) if M.rows[i][j] == STAR or M.rows[ip][j] == STAR]
-    for j in star_cols[1:]:
-        uf.union(star_cols[0], j)
-    return uf
-
-
 def is_trivial(M):
     """True when the matrix admits closed relations only in degenerate
     pointed categories."""
     return _trivial_rows(M.rows)
 
 
+def _joined(row, other, a, b):
+    """Whether nodes a and b are related by the join of the two rows' kernels
+    on left positions 0..m-1, with node m joined to every star position."""
+    m = len(row) - 1
+    comp = list(range(m + 1))
+    for r in (row, other):
+        for j, e in enumerate(r[:-1]):
+            x, y = comp[j], comp[m if e == STAR else r.index(e)]
+            if x != y:
+                comp = [y if c == x else c for c in comp]
+    return comp[a] == comp[b]
+
+
 # bounded: enumeration streams millions of distinct row tuples through this
 @lru_cache(maxsize=1 << 15)
 def _trivial_rows(rows):
-    n = len(rows)
     m = len(rows[0]) - 1
-    M = _RowView(rows, n, m)
-
-    # (a) a variable right entry must reappear in the same row's left part
+    # each row's anchor: the first left position of its variable right entry,
+    # which its kernel joins to every other such position, or m for a star
+    anchors = []
     for row in rows:
         r = row[-1]
-        if r != STAR and r not in row[:-1]:
+        if r == STAR:
+            anchors.append(m)
+        elif r in row[:-1]:
+            anchors.append(row.index(r))
+        else:
+            # (a) a variable right entry must reappear in its row's left part
             return True
-
-    # (b) two rows repeating their (variable) right entries on the left must
-    # do so in join-related column positions
-    for i in range(n):
-        ri = rows[i][-1]
-        if ri == STAR:
-            continue
-        pos_i = [j for j in range(m) if rows[i][j] == ri]
-        for ip in range(n):
-            if ip == i:
-                continue
-            rip = rows[ip][-1]
-            if rip == STAR:
-                continue
-            pos_ip = [j for j in range(m) if rows[ip][j] == rip]
-            uf = _pair_join(M, i, ip)
-            for j in pos_i:
-                for jp in pos_ip:
-                    if uf.find(j) != uf.find(jp):
-                        return True
-
-    # (c) a row repeating its right entry against a star-right row needs a
-    # join-related column carrying a star in one of the two rows
-    for i in range(n):
-        ri = rows[i][-1]
-        if ri == STAR:
-            continue
-        pos_i = [j for j in range(m) if rows[i][j] == ri]
-        for ip in range(n):
-            if rows[ip][-1] != STAR:
-                continue
-            uf = _pair_join(M, i, ip)
-            for j in pos_i:
-                ok = any(
-                    uf.find(j) == uf.find(jp)
-                    and (rows[i][jp] == STAR or rows[ip][jp] == STAR)
-                    for jp in range(m)
-                )
-                if not ok:
-                    return True
-
-    return False
+    # (b) two variable right entries must repeat in join-related positions;
+    # (c) against a star-right row, in a position related to a star of either
+    # row. The join is symmetric, and star-star pairs share the anchor m.
+    return any(
+        anchors[i] != anchors[ip] and not _joined(rows[i], rows[ip], anchors[i], anchors[ip])
+        for i, ip in combinations(range(len(rows)), 2)
+    )
 
 
 def is_anti_trivial(M):
@@ -134,8 +74,9 @@ def is_anti_trivial(M):
 
 
 def degeneracy_class(M):
-    if is_trivial(M):
-        return DegeneracyClass.TRIVIAL
+    # anti-triviality first: a column comparison, and no matrix is both
     if is_anti_trivial(M):
         return DegeneracyClass.ANTI_TRIVIAL
+    if is_trivial(M):
+        return DegeneracyClass.TRIVIAL
     return DegeneracyClass.PROPER

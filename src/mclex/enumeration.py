@@ -538,7 +538,12 @@ def _degenerate(node):
 
 def canonical(M, window=None):
     """First candidate of the window equivalent to M: the smallest class
-    member by (rows, cols, vars, lex)."""
+    member by (rows, cols, vars, lex).
+
+    Meant for single queries: every call walks the window's candidate stream
+    from its start. For the representatives of all classes, read the `rep`
+    of each node of `classify(n, m, k).classes`, which is this same
+    candidate."""
     if window is None:
         window = (M.n, M.m, M.k)
     n, m, k = window

@@ -114,6 +114,38 @@ def test_check_tableau_invalid(capsys, tmp_path):
     assert code == 1 and out.startswith("invalid at step")
 
 
+def _with_matrix_text(data):
+    data["steps"][-1]["witnesses"][0]["matrix"] = "0"
+    return data
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda data: {},
+        lambda data: [1, 2],
+        lambda data: {**data, "steps": "abc"},
+        _with_matrix_text,
+    ],
+    ids=["empty-object", "list", "steps-string", "witness-matrix-string"],
+)
+def test_check_tableau_malformed(capsys, tmp_path, mutate):
+    target = tmp_path / "proof.json"
+    run(
+        capsys,
+        "decide",
+        "--lhs",
+        "1 * * | 1 ; 2 1 2 | 1",
+        "--rhs",
+        "1 1 * | 1 ; * * 1 | 1 ; 1 * 1 | *",
+        "--tableau",
+        str(target),
+    )
+    target.write_text(json.dumps(mutate(json.loads(target.read_text()))))
+    code, out, err = run(capsys, "check-tableau", str(target))
+    assert code == 2 and out == "" and err.startswith("error: malformed tableau")
+
+
 def test_matrix_from_file(capsys, tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("#nmk 2 3 2\n1 2 2 | 1\n2 2 1 | 1\n")

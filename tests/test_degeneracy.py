@@ -1,3 +1,5 @@
+import itertools
+
 from conftest import (
     ANTI_TRIVIAL,
     ARITHMETICAL,
@@ -12,9 +14,11 @@ from conftest import (
 )
 from mclex import (
     DegeneracyClass,
+    candidate_stream,
     degeneracy_class,
     is_anti_trivial,
     is_trivial,
+    matrix,
     normalize,
     parse_matrix,
 )
@@ -48,8 +52,11 @@ def test_degeneracy_class_order():
 
 
 def test_no_matrix_is_both():
-    for M in all_matrices(2, 2, 1):
-        assert not (is_trivial(M) and is_anti_trivial(M))
+    # degeneracy_class tests anti-triviality first, which needs this
+    windows = [candidate_stream(*w) for w in ((3, 3, 2), (4, 3, 1), (2, 6, 3))]
+    grids = itertools.chain(all_matrices(2, 2, 1), map(matrix, itertools.chain(*windows)))
+    for M in grids:
+        assert not (is_trivial(M) and is_anti_trivial(M)), M.text()
 
 
 def test_repeated_right_entries_join_condition():

@@ -35,6 +35,43 @@ def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
 
 
+def unused_parameters(source):
+    """(function, parameter) of each parameter a function never reads, in
+    source order; self and cls are exempt."""
+    unused = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [
+            p for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg) if p
+        ]
+        read = {"self", "cls"} | {
+            n.id
+            for stmt in node.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        unused += [(node.name, p.arg) for p in params if p.arg not in read]
+    return unused
+
+
+def test_unused_parameters_detected():
+    source = (
+        "def f(M, i, *args, key=None, **kw):\n    return i + len(kw)\n"
+        "class C:\n    def g(self, x, y=1):\n        def h(z):\n            return x\n"
+        "        return h\n    @classmethod\n    def c(cls):\n        pass\n"
+    )
+    assert unused_parameters(source) == [
+        ("f", "M"), ("f", "args"), ("f", "key"), ("g", "y"), ("h", "z"),
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_parameters(module):
+    assert unused_parameters((SRC / module).read_text()) == []
+
+
 def _defined(node):
     """Names a top-level statement defines as a function, class or assignment."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):

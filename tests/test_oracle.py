@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -106,11 +107,20 @@ def test_forbidden_reduction_examples():
     assert not oracle.has_forbidden_reduction(UNITAL)
 
 
+def _random_grids(count, seed):
+    """Seeded grids of 3-4 rows, 1-4 left columns and k <= 2, with no
+    constraint on the order of the rows."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, m, k = rng.randint(3, 4), rng.randint(1, 4), rng.randint(1, 2)
+        yield matrix([[rng.randint(0, k) for _ in range(m + 1)] for _ in range(n)], k)
+
+
 def test_triviality_equivalences_exhaustive_small():
-    for M in all_matrices(2, 2, 1):
+    for M in itertools.chain(all_matrices(2, 2, 1), _random_grids(500, seed=7)):
         t = is_trivial(M)
-        assert t == (not oracle.is_functional(M, 2))
-        assert t == oracle.has_forbidden_reduction(M)
+        assert t == (not oracle.is_functional(M, 2)), M.text()
+        assert t == oracle.has_forbidden_reduction(M), M.text()
 
 
 def test_anti_triviality_oracle_agreement():
