@@ -83,7 +83,6 @@ def main(argv=None):
     p.add_argument("--dot", metavar="HASSE.dot")
     p.add_argument("--subposet-loc", metavar="ANCHOR")
     p.add_argument("--checkpoint", metavar="DIR")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--progress", action="store_true")
 
     p = sub.add_parser("check-tableau", help="replay a tableau certificate")
@@ -157,8 +156,8 @@ def _dispatch(args):
         return 0
 
     if args.command == "enumerate":
-        if args.workers < 1:
-            raise ValueError(f"--workers {args.workers}: needs at least 1")
+        # a mistyped anchor must fail before the window is enumerated
+        anchor = _anchor_or_matrix(args.subposet_loc) if args.subposet_loc else None
         want_order = bool(args.out or args.dot)
         graph = classify(
             args.n,
@@ -167,17 +166,13 @@ def _dispatch(args):
             with_order=want_order,
             with_groups=want_order,
             checkpoint_dir=args.checkpoint,
-            workers=args.workers,
             progress=(lambda shape, total: print(f"  shape {shape}: {total} classes", file=sys.stderr))
             if args.progress
             else None,
         )
         print(f"classes: {len(graph.classes)}")
-        if args.subposet_loc:
-            anchor = _anchor_or_matrix(args.subposet_loc)
-            nodes, _edges, _reduced = subposet_by_localization(
-                graph.classes, anchor, workers=args.workers
-            )
+        if anchor is not None:
+            nodes, _edges, _reduced = subposet_by_localization(graph.classes, anchor)
             print(f"subposet ({args.subposet_loc}): {len(nodes)} classes")
         if args.out:
             dump_poset(graph, args.out)

@@ -19,7 +19,6 @@ import itertools
 import json
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__, _kernel
@@ -320,14 +319,13 @@ class Decider:
 
 
 def classify(n, m, k, *, with_order=False, with_groups=False,
-             checkpoint_dir=None, workers=1, progress=None):
+             checkpoint_dir=None, progress=None):
     """Partition the window's candidates into matrix classes.
 
     Returns a PosetGraph whose classes appear in canonical order; edges and
     groups are filled in only on request.
     """
     _check_window(n, m, k)
-    _check_workers(workers)
     probes = probes_for(n, k)
 
     classes = []
@@ -408,7 +406,7 @@ def classify(n, m, k, *, with_order=False, with_groups=False,
 
     graph = PosetGraph(params=(n, m, k), classes=classes)
     if with_order:
-        graph.edges = compute_edges([c.rep for c in classes], workers)
+        graph.edges = compute_edges([c.rep for c in classes])
         graph.reduced = transitive_reduction(len(classes), graph.edges)
     if with_groups:
         graph.groups = compute_groups(classes)
@@ -420,38 +418,22 @@ def _check_window(n, m, k):
         raise ValueError(f"window ({n}, {m}, {k}) needs n >= 1, m >= 0 and k >= 0")
 
 
-def _check_workers(workers):
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, not {workers}")
-
-
 # --- order and reduction -----------------------------------------------------
 
 
-def _edge_rows(reps, rows):
-    """The edges (i, j) leaving the representatives whose index i is in rows."""
+def compute_edges(reps):
+    """All directed implications between class representatives.
+
+    One Decider answers every ordered pair, i outer and j inner, so each
+    pair can be settled by the answers to the pairs before it.
+    """
     implies = Decider().implies
-    return [
+    return {
         (i, j)
-        for i in rows
-        for j in range(len(reps))
-        if i != j and implies(reps[i], reps[j])
-    ]
-
-
-def compute_edges(reps, workers=1):
-    """All directed implications between class representatives, decided in
-    `workers` processes (this one alone when workers is 1)."""
-    _check_workers(workers)
-    P = len(reps)
-    if workers == 1:
-        return set(_edge_rows(reps, range(P)))
-    edges = set()
-    chunks = [range(i, P, workers) for i in range(workers)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_edge_rows, [reps] * workers, chunks):
-            edges.update(part)
-    return edges
+        for i, A in enumerate(reps)
+        for j, B in enumerate(reps)
+        if i != j and implies(A, B)
+    }
 
 
 def transitive_reduction(count, edges):
@@ -520,11 +502,11 @@ def compute_groups(classes):
     return groups
 
 
-def subposet_by_localization(classes, anchor, workers=1):
+def subposet_by_localization(classes, anchor):
     """Classes localization-equal to the anchor, with their induced order."""
     nodes = [c for c in classes if not _degenerate(c) and loc_equal(c.rep, anchor)]
     reps = [c.rep for c in nodes]
-    local = compute_edges(reps, workers)
+    local = compute_edges(reps)
     reduced = transitive_reduction(len(reps), local)
     return nodes, local, reduced
 

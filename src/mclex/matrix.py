@@ -137,7 +137,7 @@ def parse_matrix(text):
             for t in piece.split():
                 if t == "*":
                     entries.append(STAR)
-                elif t.isdigit():
+                elif t.isascii() and t.isdigit():
                     v = int(t)
                     if v == 0:
                         raise MatrixParseError("variable index 0 is invalid", lineno, col0)

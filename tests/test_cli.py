@@ -243,14 +243,16 @@ def test_enumerate_rejects_out_of_range_window(capsys, tmp_path, window):
     assert not out_json.exists()
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
-@pytest.mark.parametrize("artifact", [(), ("--out", "poset.json")])
-def test_enumerate_rejects_workers_below_one(capsys, tmp_path, monkeypatch,
-                                             workers, artifact):
+def test_enumerate_rejects_unknown_anchor_before_classifying(capsys, tmp_path,
+                                                             monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("classify called before the anchor was read")
+
     monkeypatch.chdir(tmp_path)
-    code, _out, err = run(capsys, "enumerate", "2", "3", "2", *artifact,
-                          "--workers", workers)
-    assert code == 2 and "error:" in err and "--workers" in err
+    monkeypatch.setattr("mclex.cli.classify", refuse)
+    code, _out, err = run(capsys, "enumerate", "3", "3", "2", "--out", "p.json",
+                          "--subposet-loc", "maltsevv")
+    assert code == 2 and "error:" in err
     assert list(tmp_path.iterdir()) == []
 
 

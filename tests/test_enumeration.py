@@ -288,23 +288,6 @@ def test_transitive_reduction_chain():
     assert transitive_reduction(3, edges) == {(0, 1), (1, 2)}
 
 
-@pytest.mark.parametrize("workers", [0, -3])
-def test_compute_edges_rejects_workers_below_one(workers):
-    reps = [c.rep for c in classify(2, 2, 2).classes]
-    with pytest.raises(ValueError, match="workers"):
-        compute_edges(reps, workers=workers)
-
-
-@pytest.mark.parametrize("with_order", [False, True])
-@pytest.mark.parametrize("workers", [0, -3])
-def test_classify_rejects_workers_below_one(workers, with_order, tmp_path):
-    # refused before any candidate is generated or checkpoint read
-    (tmp_path / "classify_2_3_2.json").write_text("not a checkpoint")
-    with pytest.raises(ValueError, match="workers"):
-        classify(2, 3, 2, with_order=with_order, workers=workers,
-                 checkpoint_dir=str(tmp_path))
-
-
 @functools.lru_cache(maxsize=None)
 def _reps(window):
     return tuple(c.rep for c in classify(*window).classes)
@@ -323,7 +306,9 @@ def _brute_edges(window):
 
 
 @pytest.mark.parametrize("shuffle", [None, 7004])
-@pytest.mark.parametrize("window", [(2, 3, 2), (3, 3, 2), (4, 3, 1), (3, 6, 1)], ids=str)
+@pytest.mark.parametrize(
+    "window", [(2, 2, 2), (2, 3, 2), (3, 3, 2), (4, 3, 1), (3, 6, 1)], ids=str
+)
 def test_pruned_edges_equal_brute_force(window, shuffle):
     # the Decider answers most pairs from signatures and transitivity, so
     # its answers depend on the order it is asked in; the hasse benchmark
@@ -334,13 +319,6 @@ def test_pruned_edges_equal_brute_force(window, shuffle):
     reps = [_reps(window)[p] for p in perm]
     edges = {(perm[i], perm[j]) for i, j in compute_edges(reps)}
     assert edges == _brute_edges(window)
-
-
-def test_compute_edges_workers_agree():
-    # each worker process prunes its own strided rows
-    for window in [(2, 2, 2), (3, 3, 2)]:
-        reps = list(_reps(window))
-        assert compute_edges(reps, workers=2) == compute_edges(reps) == _brute_edges(window)
 
 
 def test_pruned_edges_decide_few_pairs(monkeypatch):

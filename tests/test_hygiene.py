@@ -1,8 +1,11 @@
 """Source hygiene checks that need no linter: the standard library's ast
-reads each module of the package."""
+reads each module of the package, and a fresh interpreter imports it."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -118,3 +121,20 @@ def test_unread_private_names_detected():
 def test_no_unread_private_names():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def test_import_starts_no_process_machinery():
+    # nothing in the package spawns processes, so importing it must not
+    # pay for the multiprocessing modules
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import mclex\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "mclex" in out
+    assert [m for m in out if m.split(".")[0] in ("multiprocessing", "concurrent")] == []

@@ -78,6 +78,9 @@ def test_parse_errors_carry_position():
         parse_matrix("1 | 1 ; 1 1 | 1")  # ragged rows
     with pytest.raises(MatrixParseError):
         parse_matrix("   ")  # empty
+    with pytest.raises(MatrixParseError, match="malformed token") as exc:
+        parse_matrix("1 \u00b2 | 1")  # a digit, but not an ASCII one
+    assert exc.value.line == 1
 
 
 def test_text_round_trip():
