@@ -41,6 +41,14 @@ def _anchor_or_matrix(arg):
     return _read_matrix(arg)
 
 
+def _check_output_path(path):
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"cannot write {path}: {parent} is not a directory")
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write {path}: it is a directory")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="mclex",
@@ -158,6 +166,10 @@ def _dispatch(args):
     if args.command == "enumerate":
         # a mistyped anchor must fail before the window is enumerated
         anchor = _anchor_or_matrix(args.subposet_loc) if args.subposet_loc else None
+        # and so must an output path that cannot be written
+        for path in (args.out, args.dot):
+            if path:
+                _check_output_path(path)
         want_order = bool(args.out or args.dot)
         graph = classify(
             args.n,

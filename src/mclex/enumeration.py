@@ -458,24 +458,44 @@ def transitive_reduction(count, edges):
 # --- localization grouping ---------------------------------------------------
 
 
+def _loc_probes(mats):
+    """Probes for the signatures of the localizations of mats, one set for
+    all of them: signatures are comparable across shapes only over identical
+    probes.
+
+    A localized matrix has one fresh variable where the original had stars.
+    The (2, 2) probe that `probes_for(n, k + 1)` would add never split the
+    localized proper classes of (3,3,2), (3,4,2), (3,6,1), (2,3,3), (4,3,1),
+    (4,4,1) or (4,5,1) further, and signing those of (3,4,2) took 1.51 s
+    with it against 0.83 s without."""
+    return probes_for(max(M.n for M in mats), 1)
+
+
 def compute_groups(classes):
     """Partition classes by the property they impose on localizations.
 
     The two degenerate classes each stand alone; proper classes are grouped
     through their localized matrices, bucketed by signature first.  A group
     is named after the first anchor its localization equals: for a proper
-    class and a non-trivial anchor, that is `loc_equal`.
+    class and a non-trivial anchor, that is `loc_equal`.  Each localized
+    anchor is signed once, and `_equiv` compares a group only with the
+    anchors of its own signature.
+
+    Signatures refute localized equality.  Two non-trivial matrices that
+    imply each other have equal signatures (the stability argument of
+    `Decider`, applied in both directions).  Proper classes are not trivial,
+    and localization keeps triviality: the prepended all-x column plays the
+    part of the star node of `_trivial_rows`
+    (tests/test_localization.py::test_localize_keeps_triviality).  So a
+    localized proper class is equivalent to no localized non-trivial anchor
+    of another signature, and to no trivial one at all.
     """
     groups = []
-    loc_reps = {}  # group index -> localized representative
+    loc_reps = {}  # group index -> (localized representative, its signature)
     buckets = {}
-    # one probe set for every localized matrix: signatures are comparable
-    # across shapes only when taken over identical probes
-    proper = [c for c in classes if c.kind is DegeneracyClass.PROPER]
+    proper = [c.rep for c in classes if c.kind is DegeneracyClass.PROPER]
     if proper:
-        probes = probes_for(
-            max(c.rep.n for c in proper), max(c.rep.k for c in proper) + 1
-        )
+        probes = _loc_probes(proper)
     for node in classes:
         if node.kind is DegeneracyClass.TRIVIAL:
             groups.append(Group("trivial", [node.id]))
@@ -486,25 +506,43 @@ def compute_groups(classes):
         L = localize(node.rep)
         sig = signature(L, probes)
         for gi in buckets.get(sig, []):
-            if _equiv(L, loc_reps[gi]):
+            if _equiv(L, loc_reps[gi][0]):
                 groups[gi].class_ids.append(node.id)
                 break
         else:
             gi = len(groups)
             groups.append(Group(None, [node.id]))
-            loc_reps[gi] = L
+            loc_reps[gi] = L, sig
             buckets.setdefault(sig, []).append(gi)
-    anchors = {name: localize(anchor) for name, anchor in ANCHORS.items()}
-    for gi, L in loc_reps.items():
-        groups[gi].label = next(
-            (name for name, A in anchors.items() if _equiv(L, A)), "loc:" + L.text()
-        )
+    if loc_reps:
+        anchors = []
+        for name, anchor in ANCHORS.items():
+            A = localize(anchor)
+            anchors.append((name, A, signature(A, probes)))
+        for gi, (L, sig) in loc_reps.items():
+            groups[gi].label = next(
+                (name for name, A, sig_A in anchors if sig_A == sig and _equiv(L, A)),
+                "loc:" + L.text(),
+            )
     return groups
 
 
 def subposet_by_localization(classes, anchor):
-    """Classes localization-equal to the anchor, with their induced order."""
-    nodes = [c for c in classes if not _degenerate(c) and loc_equal(c.rep, anchor)]
+    """Classes localization-equal to the anchor, with their induced order.
+
+    `loc_equal` decides only the proper classes whose localized signature
+    equals the localized anchor's.  The others are not loc-equal to it: a
+    non-trivial anchor's localization is not trivial, so equal classes
+    would have equal signatures (see `compute_groups`), and `loc_equal` of
+    a proper class and a trivial anchor is False.
+    """
+    proper = [c for c in classes if not _degenerate(c)]
+    probes = _loc_probes([anchor] + [c.rep for c in proper])
+    sig_A = signature(localize(anchor), probes)
+    nodes = [
+        c for c in proper
+        if signature(localize(c.rep), probes) == sig_A and loc_equal(c.rep, anchor)
+    ]
     reps = [c.rep for c in nodes]
     local = compute_edges(reps)
     reduced = transitive_reduction(len(reps), local)

@@ -110,10 +110,10 @@ def parse_matrix(text):
             parts = stripped.split()
             if len(parts) != 4:
                 raise MatrixParseError("header must be '#nmk n m k'", lineno, 1)
-            try:
-                header = tuple(int(p) for p in parts[1:])
-            except ValueError:
+            # the body's rule: int() would also take '+3', '1_0' and fullwidth digits
+            if not all(p.isascii() and p.isdigit() for p in parts[1:]):
                 raise MatrixParseError("non-integer header field", lineno, 1)
+            header = tuple(int(p) for p in parts[1:])
             continue
         for chunk in line.split(";"):
             if chunk.strip():

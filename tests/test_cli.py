@@ -256,6 +256,24 @@ def test_enumerate_rejects_unknown_anchor_before_classifying(capsys, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("option", ["--out", "--dot"])
+@pytest.mark.parametrize("target", ["missing/p.out", "a-file/p.out", "a-dir"])
+def test_enumerate_rejects_unwritable_output_before_classifying(capsys, tmp_path,
+                                                                monkeypatch, option,
+                                                                target):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("classify called before the output path was checked")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("mclex.cli.classify", refuse)
+    (tmp_path / "a-file").write_text("")
+    (tmp_path / "a-dir").mkdir()
+    code, _out, err = run(capsys, "enumerate", "3", "4", "2", option, str(tmp_path / target))
+    assert code == 2 and "error: cannot write" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-dir", "a-file"]
+    assert list((tmp_path / "a-dir").iterdir()) == []
+
+
 def test_enumerate_with_artifacts(capsys, tmp_path):
     out_json = tmp_path / "poset.json"
     out_dot = tmp_path / "hasse.dot"

@@ -27,6 +27,7 @@ from mclex.degeneracy import DegeneracyClass, degeneracy_class
 from mclex.enumeration import (
     CheckpointError,
     candidate_batches,
+    compute_groups,
     probes_for,
     signature,
     subposet_by_localization,
@@ -186,14 +187,20 @@ def test_groups_of_figure_one():
     assert len(mal.class_ids) == 4
 
 
-def test_group_labels_of_one_variable_window():
+@functools.lru_cache(maxsize=None)
+def _classified(window):
+    return classify(*window)
+
+
+def _check_group_labels(window, count):
     # each proper group is named after the first anchor whose localization
     # equals that of the group's first class, else after that localization
-    graph = classify(3, 6, 1, with_groups=True)
-    assert len(graph.groups) == 13
+    classes = _classified(window).classes
+    groups = compute_groups(classes)  # what classify(with_groups=True) adds
+    assert len(groups) == count
     named = set()
-    for group in graph.groups:
-        first = graph.classes[group.class_ids[0]]
+    for group in groups:
+        first = classes[group.class_ids[0]]
         if first.kind is not DegeneracyClass.PROPER:
             assert group.label == first.kind.value
             continue
@@ -206,12 +213,77 @@ def test_group_labels_of_one_variable_window():
     assert set(ANCHORS) <= named
 
 
+def test_group_labels_of_one_variable_window():
+    _check_group_labels((3, 6, 1), 13)
+
+
+def test_group_labels_of_two_variable_window():
+    _check_group_labels((3, 3, 2), 12)
+
+
 def test_subposet_by_localization_small():
     graph = classify(2, 3, 2)
     nodes, edges, reduced = subposet_by_localization(graph.classes, ANCHORS["maltsev"])
     assert len(nodes) == 4
     closure = set(edges)
     assert transitive_closure_equals(len(nodes), reduced, closure)
+
+
+def _subposet_digest(nodes, edges, reduced):
+    text = json.dumps([[c.id for c in nodes], sorted(edges), sorted(reduced)])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _unfiltered_subposet(classes, anchor):
+    """subposet_by_localization without the signature filter: loc_equal
+    decides every proper class."""
+    nodes = [
+        c for c in classes
+        if c.kind is DegeneracyClass.PROPER and loc_equal(c.rep, anchor)
+    ]
+    edges = compute_edges([c.rep for c in nodes])
+    return nodes, edges, transitive_reduction(len(nodes), edges)
+
+
+# (3,3,2) subposets as _unfiltered_subposet gives them, by digest of their
+# class ids, edges and reduced edges: run live, it costs about 3.3 s there
+# for 160 loc_equal calls.  Classes, edges and reduced edges:
+# maltsev 6, 13, 5; majority 5, 9, 5; arithmetical 10, 30, 12; minority 4, 5, 4.
+_SUBPOSETS_3_3_2 = {
+    "maltsev": "f35b733566c214b9f508ca9fe2a3262bd02bbf595d2b70c1c8f7abf5aad365cf",
+    "majority": "3af83af7263c4810188dfa6649c0d54de021e43133cc60b92c9a269b0a5c15c9",
+    "arithmetical": "9027d8bee6c708edf1cb24168f40f946272cb8fc096d9aa281c1e2e3ee038a7a",
+    "minority": "d8d7ea14932d6aaa0b715b2206ee16e90775e5cf32b16bcef5b24f6a54ae1b5a",
+}
+
+
+@pytest.mark.parametrize("window", [(2, 3, 2), (3, 3, 2), (3, 6, 1)], ids=str)
+def test_subposets_equal_unfiltered_reference(window):
+    # the signature filter only skips classes that loc_equal would refuse
+    classes = _classified(window).classes
+    for name, anchor in ANCHORS.items():
+        got = _subposet_digest(*subposet_by_localization(classes, anchor))
+        if window == (3, 3, 2):
+            want = _SUBPOSETS_3_3_2[name]
+        else:
+            want = _subposet_digest(*_unfiltered_subposet(classes, anchor))
+        assert got == want, name
+
+
+def test_subposets_decide_only_signature_equal_classes(monkeypatch):
+    # over the four anchors, the 29 proper classes of (3,6,1) took 116
+    # loc_equal calls without the filter; the 8 left are the 8 that hold
+    classes = _classified((3, 6, 1)).classes
+    answers = []
+
+    def counting(A, B):
+        answers.append(loc_equal(A, B))
+        return answers[-1]
+
+    monkeypatch.setattr(mclex.enumeration, "loc_equal", counting)
+    nodes = [subposet_by_localization(classes, anchor)[0] for anchor in ANCHORS.values()]
+    assert sum(map(len, nodes)) == 8
+    assert answers == [True] * 8
 
 
 def transitive_closure_equals(count, reduced, full):
@@ -288,9 +360,8 @@ def test_transitive_reduction_chain():
     assert transitive_reduction(3, edges) == {(0, 1), (1, 2)}
 
 
-@functools.lru_cache(maxsize=None)
 def _reps(window):
-    return tuple(c.rep for c in classify(*window).classes)
+    return tuple(c.rep for c in _classified(window).classes)
 
 
 @functools.lru_cache(maxsize=None)

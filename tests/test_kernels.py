@@ -174,10 +174,10 @@ def reference_sharp_bits(n, k, m, rows, rel_masks):
 
 
 def _probe_shapes():
-    # every probe of the windows up to n=4, k=2, the k+1 probes that
-    # compute_groups takes for their localized matrices, and (3, 2), which
-    # no window takes but which is the only shape with three rows over two
-    # variables
+    # every probe of the windows up to n=4, k=3, which include the
+    # probes_for(n, 1) that localized matrices are signed over, and (3, 2),
+    # which no window takes but which is the only shape with three rows over
+    # two variables
     shapes = {p for n in range(1, 5) for k in range(1, 4) for p in probes_for(n, k)}
     return sorted(shapes | {(3, 2)})
 

@@ -14,12 +14,15 @@ from conftest import (
     UNITAL,
 )
 from mclex import (
+    candidate_stream,
     decide,
     decide_pair,
     is_admissible,
+    is_trivial,
     loc_bottom,
     loc_equal,
     localize,
+    matrix,
     normalize,
     parse_matrix,
     substitute_star,
@@ -172,3 +175,17 @@ def test_anchor_dictionary_is_consistent():
     for name, anchor in ANCHORS.items():
         assert anchor.is_nonpointed
         assert loc_equal(anchor, anchor)
+
+
+@pytest.mark.parametrize("window,non_trivial", [
+    ((3, 3, 2), 722), ((4, 3, 1), 343), ((2, 4, 2), 209), ((3, 6, 1), 275),
+], ids=str)
+def test_localize_keeps_triviality(window, non_trivial):
+    # the signature filter of compute_groups and subposet_by_localization
+    # rests on this: a localized proper class is not trivial
+    count = 0
+    for rows in candidate_stream(*window):
+        M = matrix(rows)
+        assert is_trivial(localize(M)) == is_trivial(M), M.text()
+        count += not is_trivial(M)
+    assert count == non_trivial

@@ -81,6 +81,11 @@ def test_parse_errors_carry_position():
     with pytest.raises(MatrixParseError, match="malformed token") as exc:
         parse_matrix("1 \u00b2 | 1")  # a digit, but not an ASCII one
     assert exc.value.line == 1
+    # header fields follow the body's rule, where int() would take them
+    for field in ("\uff13", "+3", "1_0", "-1"):  # fullwidth 3, sign, underscore
+        with pytest.raises(MatrixParseError, match="non-integer header field") as exc:
+            parse_matrix(f"1 | 1\n#nmk 1 1 {field}")
+        assert (exc.value.line, exc.value.column) == (2, 1)
 
 
 def test_text_round_trip():
