@@ -114,6 +114,8 @@ def _dispatch(args):
     if args.command == "decide":
         lhs = [_read_matrix(a) for a in args.lhs]
         rhs = [_read_matrix(a) for a in args.rhs]
+        if args.tableau:
+            _check_output_path(args.tableau)
         verdict, tableaux = decide(lhs, rhs, record=bool(args.tableau))
         print("yes" if verdict else "no")
         if args.tableau and not tableaux:

@@ -20,6 +20,7 @@ import json
 import os
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import __version__, _kernel
 from .closure import decide, instantiate
@@ -243,32 +244,58 @@ def _equiv(A, B):
     return decide([A], [B])[0] and decide([B], [A])[0]
 
 
-# probes of the edge signatures: on the Hasse order of (3,3,2) and (4,3,1)
-# they cost 0.015 s in all, while (3,2) alone costs about 2 ms per matrix
+# probes of every signature taken after classify.  On the Hasse order of
+# (3,3,2) and (4,3,1) they cost 0.015 s in all, while (3,2) alone costs
+# about 2 ms per matrix.  They also sign the localized matrices, where the
+# (4,1) probe that probes_for adds for 4 rows saves decides but costs more
+# than they do.  In pure Python on 2 cores, the 37 groups of (4,4,1) took
+# 1.0 s and 496 decides against 2.2 s and 343 with (4,1), and the 79 of
+# (4,5,1) 5.6 s and 2,412 decides against 7.1 s and 870.  The groups are
+# the same with either probe set.
 _EDGE_PROBES = ((2, 1), (3, 1))
+
+
+# bounded: after classify it holds the representatives and their
+# localizations, two entries per class, so the subposets of a window up to
+# 2,000 classes reuse the signatures its edges and groups took; an entry is
+# a small matrix and two short ints
+@lru_cache(maxsize=1 << 12)
+def _pair_signature(M):
+    """M's signature over `_EDGE_PROBES`, or () when M is trivial: the one
+    signature that Hasse edges, groups and subposets compare.
+
+    Suppose A implies B, so B's right column derives from its left columns
+    and `*` under A's rules.  Instantiate that derivation along any row map
+    of B.  If a pointed relation is stable under A's rules, each step keeps
+    it closed, so it is stable under B's rules too: stable(A) is a subset of
+    stable(B), bit by bit, over any fixed probe set.  So non-trivial
+    matrices that imply each other have equal signatures.  A trivial A
+    implies everything without a derivation, so it gets the empty
+    signature, which refutes nothing and equals no non-trivial matrix's.
+
+    Localization keeps triviality: the prepended all-x column plays the part
+    of the star node of `_trivial_rows`
+    (tests/test_localization.py::test_localize_keeps_triviality).  So two
+    matrices whose localizations have different pair signatures are not
+    localization-equal.
+    """
+    return () if is_trivial(M) else signature(M, _EDGE_PROBES)
 
 
 class Decider:
     """Directional implication between single matrices, as the Hasse edges
     ask it, answered from what earlier answers imply where they can.
 
-    Each matrix is numbered the first time it is seen and keeps a signature
-    over `_EDGE_PROBES` and two bitsets over the numbers: `succ`, the
+    Each matrix is numbered the first time it is seen and keeps its
+    `_pair_signature` and two bitsets over the numbers: `succ`, the
     matrices it is known to imply (itself included), and `nots`, those it
     is known not to imply.  `implies(A, B)` answers, in this order:
 
-    1. False when A's signature has a bit that B's lacks;
+    1. False when A's signature has a bit that B's lacks, since
+       implication keeps stability (see `_pair_signature`);
     2. True when B is in succ[A];
     3. False when B is in nots[A];
     4. otherwise `decide([A], [B])`, whose answer extends the bitsets.
-
-    Signatures: suppose A implies B, so B's right column derives from its
-    left columns and `*` under A's rules.  Instantiate that derivation
-    along any row map of B.  If a pointed relation is stable under A's
-    rules, each step keeps it closed, so it is stable under B's rules too:
-    stable(A) is a subset of stable(B), bit by bit.  A trivial A implies
-    everything without a derivation, so it gets the empty signature, which
-    refutes nothing.
 
     Transitivity: `decide` is a complete decision procedure for a
     preorder.  A => B gives A => every successor of B, and B =/=> every
@@ -279,7 +306,8 @@ class Decider:
     (`perfbench/tracer.py`) counts the pairs as `Decider.implies` calls,
     the `enumeration.decide` calls below them as edge decides and the rest
     as hits.  Membership and grouping tests must not call it: they go
-    through `_equiv`, so that `implies` counts the edge decides alone.
+    through `_equiv` and `loc_equal`, so that `implies` counts the edge
+    decides alone.
     """
 
     def __init__(self):
@@ -292,7 +320,7 @@ class Decider:
         i = self._ids.get(M)
         if i is None:
             i = self._ids[M] = len(self._sig)
-            self._sig.append(() if is_trivial(M) else signature(M, _EDGE_PROBES))
+            self._sig.append(_pair_signature(M))
             self._succ.append(1 << i)
             self._nots.append(0)
         return i
@@ -458,99 +486,57 @@ def transitive_reduction(count, edges):
 # --- localization grouping ---------------------------------------------------
 
 
-def _loc_probes(mats):
-    """Probes for the signatures of the localizations of mats, one set for
-    all of them: signatures are comparable across shapes only over identical
-    probes.
-
-    A localized matrix has one fresh variable where the original had stars.
-    The (2, 2) probe that `probes_for(n, k + 1)` would add never split the
-    localized proper classes of (3,3,2), (3,4,2), (3,6,1), (2,3,3), (4,3,1),
-    (4,4,1) or (4,5,1) further, and signing those of (3,4,2) took 1.51 s
-    with it against 0.83 s without."""
-    return probes_for(max(M.n for M in mats), 1)
-
-
 def compute_groups(classes):
     """Partition classes by the property they impose on localizations.
 
-    The two degenerate classes each stand alone; proper classes are grouped
-    through their localized matrices, bucketed by signature first.  A group
-    is named after the first anchor its localization equals: for a proper
-    class and a non-trivial anchor, that is `loc_equal`.  Each localized
-    anchor is signed once, and `_equiv` compares a group only with the
-    anchors of its own signature.
-
-    Signatures refute localized equality.  Two non-trivial matrices that
-    imply each other have equal signatures (the stability argument of
-    `Decider`, applied in both directions).  Proper classes are not trivial,
-    and localization keeps triviality: the prepended all-x column plays the
-    part of the star node of `_trivial_rows`
-    (tests/test_localization.py::test_localize_keeps_triviality).  So a
-    localized proper class is equivalent to no localized non-trivial anchor
-    of another signature, and to no trivial one at all.
+    The two degenerate classes each stand alone, labelled by their kind.
+    Proper classes are grouped by `loc_equal`, which each class runs only
+    against the first classes of the groups with its localized
+    `_pair_signature`.  A group is named after the first anchor that its
+    first class is loc-equal to, asked only of anchors of the group's
+    signature, else after that class's localization.
     """
     groups = []
-    loc_reps = {}  # group index -> (localized representative, its signature)
-    buckets = {}
-    proper = [c.rep for c in classes if c.kind is DegeneracyClass.PROPER]
-    if proper:
-        probes = _loc_probes(proper)
+    firsts = {}  # localized signature -> [(group index, its first class)]
     for node in classes:
-        if node.kind is DegeneracyClass.TRIVIAL:
-            groups.append(Group("trivial", [node.id]))
-            continue
-        if node.kind is DegeneracyClass.ANTI_TRIVIAL:
-            groups.append(Group("anti-trivial", [node.id]))
+        if node.kind is not DegeneracyClass.PROPER:
+            groups.append(Group(node.kind.value, [node.id]))
             continue
         L = localize(node.rep)
-        sig = signature(L, probes)
-        for gi in buckets.get(sig, []):
-            if _equiv(L, loc_reps[gi][0]):
+        sig = _pair_signature(L)
+        bucket = firsts.setdefault(sig, [])
+        for gi, rep in bucket:
+            if loc_equal(node.rep, rep):
                 groups[gi].class_ids.append(node.id)
                 break
         else:
-            gi = len(groups)
-            groups.append(Group(None, [node.id]))
-            loc_reps[gi] = L, sig
-            buckets.setdefault(sig, []).append(gi)
-    if loc_reps:
-        anchors = []
-        for name, anchor in ANCHORS.items():
-            A = localize(anchor)
-            anchors.append((name, A, signature(A, probes)))
-        for gi, (L, sig) in loc_reps.items():
-            groups[gi].label = next(
-                (name for name, A, sig_A in anchors if sig_A == sig and _equiv(L, A)),
+            bucket.append((len(groups), node.rep))
+            label = next(
+                (name for name, A in ANCHORS.items()
+                 if _pair_signature(localize(A)) == sig and loc_equal(node.rep, A)),
                 "loc:" + L.text(),
             )
+            groups.append(Group(label, [node.id]))
     return groups
 
 
 def subposet_by_localization(classes, anchor):
     """Classes localization-equal to the anchor, with their induced order.
 
-    `loc_equal` decides only the proper classes whose localized signature
-    equals the localized anchor's.  The others are not loc-equal to it: a
-    non-trivial anchor's localization is not trivial, so equal classes
-    would have equal signatures (see `compute_groups`), and `loc_equal` of
-    a proper class and a trivial anchor is False.
+    `loc_equal` decides only the proper classes whose localized
+    `_pair_signature` equals the localized anchor's: the others are not
+    loc-equal to it.
     """
-    proper = [c for c in classes if not _degenerate(c)]
-    probes = _loc_probes([anchor] + [c.rep for c in proper])
-    sig_A = signature(localize(anchor), probes)
+    sig = _pair_signature(localize(anchor))
     nodes = [
-        c for c in proper
-        if signature(localize(c.rep), probes) == sig_A and loc_equal(c.rep, anchor)
+        c for c in classes
+        if c.kind is DegeneracyClass.PROPER
+        and _pair_signature(localize(c.rep)) == sig and loc_equal(c.rep, anchor)
     ]
     reps = [c.rep for c in nodes]
     local = compute_edges(reps)
     reduced = transitive_reduction(len(reps), local)
     return nodes, local, reduced
-
-
-def _degenerate(node):
-    return node.kind is not DegeneracyClass.PROPER
 
 
 # --- canonical representative ------------------------------------------------

@@ -95,6 +95,24 @@ def test_decide_tableau_round_trip(capsys, tmp_path):
     assert code == 0 and out.strip() == "valid"
 
 
+@pytest.mark.parametrize("target", ["missing/t.json", "a-file/t.json", "a-dir"])
+def test_decide_rejects_unwritable_tableau_before_deciding(capsys, tmp_path,
+                                                           monkeypatch, target):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("decide called before the tableau path was checked")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("mclex.cli.decide", refuse)
+    (tmp_path / "a-file").write_text("")
+    (tmp_path / "a-dir").mkdir()
+    code, out, err = run(capsys, "decide", "--lhs", "1 2 2 | 1 ; 2 2 1 | 1",
+                         "--rhs", "1 * * | 1 ; 2 2 1 | 1",
+                         "--tableau", str(tmp_path / target))
+    assert code == 2 and out == "" and "error: cannot write" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-dir", "a-file"]
+    assert list((tmp_path / "a-dir").iterdir()) == []
+
+
 def test_check_tableau_invalid(capsys, tmp_path):
     target = tmp_path / "proof.json"
     run(

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -25,7 +26,9 @@ from mclex import (
 from mclex.closure import decide
 from mclex.degeneracy import DegeneracyClass, degeneracy_class
 from mclex.enumeration import (
+    _EDGE_PROBES,
     CheckpointError,
+    _pair_signature,
     candidate_batches,
     compute_groups,
     probes_for,
@@ -221,6 +224,10 @@ def test_group_labels_of_two_variable_window():
     _check_group_labels((3, 3, 2), 12)
 
 
+def test_group_labels_of_four_row_window():
+    _check_group_labels((4, 3, 1), 21)
+
+
 def test_subposet_by_localization_small():
     graph = classify(2, 3, 2)
     nodes, edges, reduced = subposet_by_localization(graph.classes, ANCHORS["maltsev"])
@@ -245,26 +252,41 @@ def _unfiltered_subposet(classes, anchor):
     return nodes, edges, transitive_reduction(len(nodes), edges)
 
 
-# (3,3,2) subposets as _unfiltered_subposet gives them, by digest of their
-# class ids, edges and reduced edges: run live, it costs about 3.3 s there
-# for 160 loc_equal calls.  Classes, edges and reduced edges:
-# maltsev 6, 13, 5; majority 5, 9, 5; arithmetical 10, 30, 12; minority 4, 5, 4.
-_SUBPOSETS_3_3_2 = {
-    "maltsev": "f35b733566c214b9f508ca9fe2a3262bd02bbf595d2b70c1c8f7abf5aad365cf",
-    "majority": "3af83af7263c4810188dfa6649c0d54de021e43133cc60b92c9a269b0a5c15c9",
-    "arithmetical": "9027d8bee6c708edf1cb24168f40f946272cb8fc096d9aa281c1e2e3ee038a7a",
-    "minority": "d8d7ea14932d6aaa0b715b2206ee16e90775e5cf32b16bcef5b24f6a54ae1b5a",
+# Subposets as _unfiltered_subposet gives them, by digest of their class
+# ids, edges and reduced edges, where running it live costs too much: about
+# 3.3 s on (3,3,2) for 160 loc_equal calls, and 0.8 s on (4,3,1), the first
+# window whose localizations have four rows.  Classes, edges and reduced
+# edges:
+# - (3,3,2): maltsev 6, 13, 5; majority 5, 9, 5; arithmetical 10, 30, 12;
+#   minority 4, 5, 4;
+# - (4,3,1): maltsev 4, 4, 3; majority 2, 1, 1; arithmetical 4, 3, 3;
+#   minority 1, 0, 0.
+_SUBPOSET_DIGESTS = {
+    (3, 3, 2): {
+        "maltsev": "f35b733566c214b9f508ca9fe2a3262bd02bbf595d2b70c1c8f7abf5aad365cf",
+        "majority": "3af83af7263c4810188dfa6649c0d54de021e43133cc60b92c9a269b0a5c15c9",
+        "arithmetical": "9027d8bee6c708edf1cb24168f40f946272cb8fc096d9aa281c1e2e3ee038a7a",
+        "minority": "d8d7ea14932d6aaa0b715b2206ee16e90775e5cf32b16bcef5b24f6a54ae1b5a",
+    },
+    (4, 3, 1): {
+        "maltsev": "d8ae3ce4f2c6d63f661af4ac74ea16da603f9af03eca3de69184cc7909389c4a",
+        "majority": "d305f81761be1243e7c248c77998ce46c586e13bfa39db4a810afe8a04a01f60",
+        "arithmetical": "deca88f217c34bd7b315dfdef533ba6ac3c61ce4e8507b08b3b45f3a1044333a",
+        "minority": "7f6ffda9a9c374626407ded8dcbe5a36ec2d72b92c50e72ff690490bbce70e12",
+    },
 }
 
 
-@pytest.mark.parametrize("window", [(2, 3, 2), (3, 3, 2), (3, 6, 1)], ids=str)
+@pytest.mark.parametrize(
+    "window", [(2, 3, 2), (3, 3, 2), (3, 6, 1), (4, 3, 1)], ids=str
+)
 def test_subposets_equal_unfiltered_reference(window):
     # the signature filter only skips classes that loc_equal would refuse
     classes = _classified(window).classes
     for name, anchor in ANCHORS.items():
         got = _subposet_digest(*subposet_by_localization(classes, anchor))
-        if window == (3, 3, 2):
-            want = _SUBPOSETS_3_3_2[name]
+        if window in _SUBPOSET_DIGESTS:
+            want = _SUBPOSET_DIGESTS[window][name]
         else:
             want = _subposet_digest(*_unfiltered_subposet(classes, anchor))
         assert got == want, name
@@ -272,18 +294,57 @@ def test_subposets_equal_unfiltered_reference(window):
 
 def test_subposets_decide_only_signature_equal_classes(monkeypatch):
     # over the four anchors, the 29 proper classes of (3,6,1) took 116
-    # loc_equal calls without the filter; the 8 left are the 8 that hold
-    classes = _classified((3, 6, 1)).classes
+    # loc_equal calls without the filter; the 8 left are the 8 that hold.
+    # Edges and groups have signed every representative and localization
+    # already, so the subposets sign at most the localized anchors: they
+    # took 126 signature calls when they signed over probes of their own
+    classes = classify(3, 6, 1, with_order=True, with_groups=True).classes
     answers = []
+    signed = []
 
     def counting(A, B):
         answers.append(loc_equal(A, B))
         return answers[-1]
 
+    def counting_signature(M, probes):
+        signed.append(M)
+        return signature(M, probes)
+
     monkeypatch.setattr(mclex.enumeration, "loc_equal", counting)
+    monkeypatch.setattr(mclex.enumeration, "signature", counting_signature)
     nodes = [subposet_by_localization(classes, anchor)[0] for anchor in ANCHORS.values()]
     assert sum(map(len, nodes)) == 8
     assert answers == [True] * 8
+    assert len(signed) <= 4
+
+
+def test_comparisons_after_classify_sign_over_edge_probes(monkeypatch):
+    # edges, groups and subposets all compare _pair_signature; (4,3,1) is a
+    # window where classify's own probes_for adds a third probe, (4, 1)
+    callers = {"classify", "compute_edges", "compute_groups", "subposet_by_localization"}
+    calls = []
+
+    def recording(M, probes):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name not in callers:
+            frame = frame.f_back
+        calls.append((frame.f_code.co_name, tuple(probes)))
+        return signature(M, probes)
+
+    monkeypatch.setattr(mclex.enumeration, "signature", recording)
+    _pair_signature.cache_clear()  # so that every caller signs afresh
+    graph = classify(4, 3, 1, with_order=True, with_groups=True)
+    _pair_signature.cache_clear()
+    for anchor in ANCHORS.values():
+        subposet_by_localization(graph.classes, anchor)
+    assert {probes for name, probes in calls if name == "classify"} == {
+        tuple(probes_for(4, 1))
+    }
+    later = {(name, probes) for name, probes in calls if name != "classify"}
+    assert later == {
+        (name, _EDGE_PROBES)
+        for name in ("compute_edges", "compute_groups", "subposet_by_localization")
+    }
 
 
 def transitive_closure_equals(count, reduced, full):
