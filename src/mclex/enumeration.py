@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from . import __version__, _kernel
 from .closure import decide, instantiate
-from .degeneracy import DegeneracyClass, degeneracy_class, is_trivial
+from .degeneracy import DegeneracyClass, degeneracy_class, is_trivial, kind_of_rows
 from .localization import loc_equal, localize
 from .matrix import STAR, ExtendedMatrix, _normalize_rows, entry_key, matrix
 
@@ -65,25 +65,21 @@ def _valid_columns(n_rows, k):
     return cols
 
 
-def _gen_shape(n_rows, a, m_cols, cols):
+def _gen_shape(n_rows, a, m_cols, v):
     """Candidate row tuples for a fixed row count, right-column split
-    (a variable rights, the rest stars) and left column count, streamed in
-    left-column lex order."""
+    (a variable rights, the rest stars), left column count and largest
+    variable v, streamed in left-column lex order."""
+    cols = _valid_columns(n_rows, v)
     b = n_rows - a
     pairs = [i for i in range(n_rows - 1) if (i + 1 < a) or (i >= a)]
-    seen0 = tuple([1] * a + [0] * b)
-    sep0 = tuple([False] * len(pairs))
+    rights = (1,) * a + (STAR,) * b
 
-    def emit(chosen):
-        rows = []
-        for r in range(n_rows):
-            rows.append(tuple(c[r] for c in chosen) + ((1,) if r < a else (0,)))
-        return tuple(rows)
-
+    # seen[r]: the largest variable of row r so far, right entry included;
+    # STAR is 0, so rights is also where seen starts
     def rec(start, chosen, seen, seps):
         if len(chosen) == m_cols:
-            if all(seps):
-                yield emit(chosen)
+            if all(seps) and max(seen) == v:
+                yield tuple(zip(*chosen, rights))
             return
         need = m_cols - len(chosen)
         for idx in range(start, len(cols) - need + 1):
@@ -115,42 +111,30 @@ def _gen_shape(n_rows, a, m_cols, cols):
                 continue
             yield from rec(idx + 1, chosen + [c], tuple(new_seen), tuple(new_seps))
 
-    if m_cols == 0:
-        if all(sep0) or not pairs:
-            yield emit([])
-    else:
-        yield from rec(0, [], seen0, sep0)
-
-
-def _max_var(rows):
-    return max((e for row in rows for e in row), default=0)
-
-
-def _batch_stream(n_, m_, k_eff):
-    """One batch, lazily, in (max variable, lex key) order.
-
-    The lex key reads the right column first, so for a fixed variable budget
-    the splits with more variable rights come first; within a split
-    _gen_shape already emits in left-column lex order.  Candidates are
-    grouped by their exact maximum variable by regenerating with each budget
-    and filtering, which keeps the stream sorted without materializing it.
-    """
-    for v in range(0, k_eff + 1):
-        cols = _valid_columns(n_, v)
-        for a in range(n_, -1, -1):
-            if a > 0 and v == 0:
-                continue
-            for rows in _gen_shape(n_, a, m_, cols):
-                if _max_var(rows) == v:
-                    yield rows
+    yield from rec(0, [], rights, (False,) * len(pairs))
 
 
 def candidate_batches(n, m, k):
-    """Yields ((n', m'), candidate row tuple stream) in stream order."""
+    """Yields ((n', m'), candidate row tuple stream) in stream order.
+
+    A batch streams lazily in (largest variable, lex key) order.  The lex
+    key reads the right column first, so for one largest variable the
+    splits with more variable rights come first, and within a split
+    _gen_shape emits in left-column lex order.  Each largest variable v
+    generates the shapes again over the columns with entries up to v and
+    keeps the candidates that use v, which keeps the stream sorted without
+    materializing it.
+    """
     m_eff, k_eff = window_caps(n, m, k)
     for n_ in range(1, n + 1):
         for m_ in range(0, m_eff + 1):
-            yield (n_, m_), _batch_stream(n_, m_, k_eff)
+            yield (n_, m_), (
+                rows
+                for v in range(k_eff + 1)
+                # a variable right entry needs v >= 1
+                for a in range(n_ if v else 0, -1, -1)
+                for rows in _gen_shape(n_, a, m_, v)
+            )
 
 
 def candidate_stream(n, m, k):
@@ -358,7 +342,6 @@ def classify(n, m, k, *, with_order=False, with_groups=False,
 
     classes = []
     sig_buckets = {}
-    by_normal_form = {}  # _normalize_rows of a proper member -> its class id
     degenerate_ids = {}
     done = set()
 
@@ -385,13 +368,20 @@ def classify(n, m, k, *, with_order=False, with_groups=False,
     for shape, batch in candidate_batches(n, m, k):
         if shape in done:
             continue
+        # A candidate's rows are distinct and named by first occurrence, and
+        # its left columns distinct and not all stars, so its normal form
+        # has the candidate's shape.  A form never recurs in a later batch,
+        # and a resumed run starts the memo empty at no cost.
+        by_normal_form = {}  # _normalize_rows of a proper member -> its class id
         for rows in batch:
-            M = matrix(rows)
-            kind = degeneracy_class(M)
+            # a matrix is built only for each degenerate class's first
+            # candidate and for the proper candidates that the normal forms
+            # do not place
+            kind = kind_of_rows(rows)
             if kind is not DegeneracyClass.PROPER:
                 cid = degenerate_ids.get(kind)
                 if cid is None:
-                    node = ClassNode(len(classes), M, kind)
+                    node = ClassNode(len(classes), matrix(rows), kind)
                     degenerate_ids[kind] = node.id
                     classes.append(node)
                 else:
@@ -407,6 +397,7 @@ def classify(n, m, k, *, with_order=False, with_groups=False,
                 classes[cid].members += 1
                 last_cid = cid
                 continue
+            M = matrix(rows)
             # consecutive candidates often share a class; checking that first
             # skips the signature computation
             if last_cid is not None and _equiv(M, classes[last_cid].rep):
@@ -567,14 +558,14 @@ def canonical(M, window=None):
     form_M = _normalize_rows(M.rows)
     forms_not_M = set()
     for rows in candidate_stream(n, m, k):
-        C = matrix(rows)
-        if degeneracy_class(C) is not DegeneracyClass.PROPER:
+        if kind_of_rows(rows) is not DegeneracyClass.PROPER:
             continue
         form = _normalize_rows(rows)
         if form == form_M:
-            return C
+            return matrix(rows)
         if form in forms_not_M:
             continue
+        C = matrix(rows)
         if signature(C, probes) == sig_M and _equiv(C, M):
             return C
         forms_not_M.add(form)

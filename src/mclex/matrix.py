@@ -206,26 +206,12 @@ def maltsev_condition(M):
 
 
 def _strip_duplicates(rows):
-    n = len(rows)
-    m = len(rows[0]) - 1
-    cols = []
-    seen = set()
-    for j in range(m):
-        col = tuple(rows[i][j] for i in range(n))
-        if col in seen or all(e == STAR for e in col):
-            continue
-        seen.add(col)
-        cols.append(col)
-    new_rows = []
-    seen_rows = set()
-    for i in range(n):
-        row = tuple(c[i] for c in cols) + (rows[i][-1],)
-        if row in seen_rows:
-            continue
-        seen_rows.add(row)
-        new_rows.append(row)
+    *left, right = zip(*rows)
+    star = (STAR,) * len(right)
+    cols = [c for c in dict.fromkeys(left) if c != star]
+    new_rows = list(dict.fromkeys(zip(*cols, right)))
     # column tuples must be rebuilt if rows were dropped
-    if len(new_rows) != n:
+    if len(new_rows) != len(rows):
         return _strip_duplicates(new_rows)
     return new_rows
 
@@ -274,14 +260,16 @@ def _place(e, key, met):
 def _normalize_rows(rows):
     # Per-row renaming can make rows equal (1 2 | 1 ; 2 1 | 2 minimizes to
     # two copies of 1 2 | 1), so stripping and minimizing repeat until
-    # nothing changes.  This terminates: after the first pass the grid is
-    # minimal and minimizing a minimal grid returns it, so every later pass
-    # but the last removes a row or a column.
+    # stripping removes nothing.  A minimized grid is the smallest reading
+    # of its orbit, so with nothing to strip it is its own normal form.
+    # Every pass but the last removes a row or a column, so this terminates.
+    rows = _strip_duplicates(rows)
     while True:
-        nxt = tuple(_minimize(_strip_duplicates(list(rows))))
-        if nxt == rows:
-            return rows
-        rows = nxt
+        rows = _minimize(rows)
+        stripped = _strip_duplicates(rows)
+        if stripped == rows:
+            return tuple(rows)
+        rows = stripped
 
 
 def normalize(M):

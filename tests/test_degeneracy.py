@@ -1,4 +1,7 @@
 import itertools
+import random
+
+import pytest
 
 from conftest import (
     ANTI_TRIVIAL,
@@ -15,6 +18,7 @@ from conftest import (
 from mclex import (
     DegeneracyClass,
     candidate_stream,
+    classify,
     degeneracy_class,
     is_anti_trivial,
     is_trivial,
@@ -22,6 +26,8 @@ from mclex import (
     normalize,
     parse_matrix,
 )
+from mclex.degeneracy import kind_of_rows
+from mclex.matrix import STAR
 from test_matrix import all_matrices
 
 
@@ -79,3 +85,55 @@ def test_normalization_invariance():
         N = normalize(M)
         assert is_trivial(M) == is_trivial(N)
         assert is_anti_trivial(M) == is_anti_trivial(N)
+
+
+def _reference_anti_trivial(M):
+    # is_anti_trivial as it was before it read the columns off one zip
+    right = M.right_column
+    if all(e == STAR for e in right):
+        return True
+    return any(M.left_column(j) == right for j in range(M.m))
+
+
+def _reference_kind(M):
+    if _reference_anti_trivial(M):
+        return DegeneracyClass.ANTI_TRIVIAL
+    if is_trivial(M):
+        return DegeneracyClass.TRIVIAL
+    return DegeneracyClass.PROPER
+
+
+def _random_grids(count, seed):
+    """Seeded grids of up to 4 rows and 4 left columns, m == 0 included;
+    every third one has an all-star right column."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n, m, k = rng.randint(1, 4), rng.randint(0, 4), rng.randint(0, 3)
+        rows = [[rng.randint(0, k) for _ in range(m + 1)] for _ in range(n)]
+        if i % 3 == 0:
+            for row in rows:
+                row[-1] = STAR
+        yield matrix(rows, k)
+
+
+@pytest.mark.parametrize("source", ["candidates", "random"])
+def test_row_level_kind_matches_reference(source):
+    if source == "candidates":
+        windows = [candidate_stream(*w) for w in ((3, 3, 2), (4, 3, 1), (2, 6, 3))]
+        grids = map(matrix, itertools.chain(*windows))
+    else:
+        grids = _random_grids(3000, seed=15)
+    for M in grids:
+        want = _reference_kind(M)
+        assert kind_of_rows(M.rows) is want, M.text()
+        assert degeneracy_class(M) is want, M.text()
+        assert is_anti_trivial(M) == _reference_anti_trivial(M), M.text()
+
+
+def test_classify_leaves_the_triviality_cache_small():
+    # classify sorts its candidates on rows without the cache; only the
+    # matrices that it decides reach is_trivial (2,277 cached row tuples
+    # when the cache held every candidate)
+    is_trivial.cache_clear()
+    classify(3, 3, 2)
+    assert is_trivial.cache_info().currsize < 200

@@ -64,6 +64,30 @@ def test_candidates_unique_and_ordered():
             seen.add(rows)
 
 
+# sha256 over repr(rows) of the raw candidate stream, in stream order,
+# with the candidate count; taken when each batch still regenerated its
+# shapes once per variable budget and filtered them by largest variable
+_STREAM_DIGESTS = {
+    (1, 0, 0): (1, "efd70b49446e8be6bedf3dfe219a88a352831f684dce5d48505e29b260989f2b"),
+    (2, 0, 1): (3, "75ecf17e356b90aab40cacd5624dc8039367472ebe63d4ae7eedcf2b02a05d32"),
+    (1, 1, 0): (1, "efd70b49446e8be6bedf3dfe219a88a352831f684dce5d48505e29b260989f2b"),
+    (3, 0, 2): (3, "75ecf17e356b90aab40cacd5624dc8039367472ebe63d4ae7eedcf2b02a05d32"),
+    (1, 4, 3): (4, "6f5056a07eccb5ff04f297cbb72b9fbf6ba436d58e353b74ca91a7ba9c17ad17"),
+    (2, 4, 3): (1198, "ced28ddb5b1d4c4c4a5821b419cefe796c7dce747dfaf7a4efb7f999de2443f2"),
+    (3, 3, 2): (2722, "148448f972be5dd7e030cc0c6272987d2e683276e098f012db70d2ce1a2ba8a4"),
+    (4, 3, 1): (575, "95614838d3e5d8a6136da28b0d61a7aeaa766f69775b431fef29bf48c28fea4b"),
+}
+
+
+@pytest.mark.parametrize("window", sorted(_STREAM_DIGESTS), ids=str)
+def test_candidate_stream_pinned(window):
+    digest, count = hashlib.sha256(), 0
+    for rows in candidate_stream(*window):
+        digest.update(repr(rows).encode())
+        count += 1
+    assert (count, digest.hexdigest()) == _STREAM_DIGESTS[window]
+
+
 def _maxvar(rows):
     return max((e for row in rows for e in row), default=0)
 
@@ -544,6 +568,14 @@ def test_classify_computes_few_signatures(window, monkeypatch):
     assert len(calls) <= 140
 
 
+@pytest.mark.parametrize("window", [(3, 3, 2), (4, 3, 1)], ids=str)
+def test_normal_forms_keep_the_candidate_shape(window):
+    # so classify keeps its normal-form memo for one batch only
+    for rows in candidate_stream(*window):
+        form = _normalize_rows(rows)
+        assert (len(form), len(form[0])) == (len(rows), len(rows[0])), rows
+
+
 # --- checkpointing -----------------------------------------------------------
 
 
@@ -556,6 +588,26 @@ def test_checkpoint_resume(tmp_path):
         c.rep.text() for c in first.classes
     ]
     assert [c.members for c in resumed.classes] == [c.members for c in first.classes]
+
+
+def test_checkpoint_resume_mid_window(tmp_path):
+    # interrupted before its last batch, (3,3,2) resumes from 10 classes
+    class Interrupted(Exception):
+        pass
+
+    def progress(shape, count):
+        if shape == (3, 3):
+            raise Interrupted
+
+    with pytest.raises(Interrupted):
+        classify(3, 3, 2, checkpoint_dir=str(tmp_path), progress=progress)
+    state = json.loads((tmp_path / "classify_3_3_2.json").read_text())
+    assert len(state["classes"]) == 10
+    resumed = classify(3, 3, 2, checkpoint_dir=str(tmp_path))
+    whole = classify(3, 3, 2)
+    assert [(c.rep, c.kind, c.members) for c in resumed.classes] == [
+        (c.rep, c.kind, c.members) for c in whole.classes
+    ]
 
 
 def test_checkpoint_env_variable_ignored(tmp_path, monkeypatch):
