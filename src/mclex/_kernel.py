@@ -7,15 +7,23 @@ All kernels build their row tuples from rows packed into fixed-width
 integer fields, one per column, so that a whole row adds its entries to
 every column code with one addition.
 
-The closure kernel `closure_mask` extends row tuples one coordinate at a
-time and drops a partial tuple as soon as one of its partial left columns
-is no prefix of a column in the set.  It visits the surviving tuples in
-the order of the unpruned scan, so it returns the same int, early stop
-included.
+The closure kernels extend row tuples one row at a time; row d of a tuple
+gives digit d of each of its columns.  They keep the column set as digit
+dicts, one per depth d, that map the low d digits of a column of the set
+to the bitmask of the digits d that extend them, and a set of rows of one
+hypothesis as a row mask.  Each column of a hypothesis has a row table
+that maps a set of digits to the mask of the rows whose entry is one of
+them.  The rows that may extend a partial tuple are then the AND, over its
+left columns, of one row-table entry each (the set intersection of generic
+join, bit-parallel over the rows) instead of one prefix test per row.  A partial tuple is dropped as soon as one of its
+partial left columns is no prefix of a column in the set, and a complete
+tuple whose right column is in the set is never visited.
 
-The recorded closure kernel `closure_record` walks the row tuples the same
-way, but in batch rounds against the set at the start of each round, and
-logs a witness for every column it derives; tableaux are read off that log.
+`closure_mask` walks the surviving tuples depth first in the order of the
+unpruned scan and reads the set as it grows, so it returns the same int as
+that scan, early stop included.  `closure_record` walks them level by level
+in batch rounds against the set at the start of each round, and logs a
+witness for every column it derives; tableaux are read off that log.
 
 The signature kernel `sharp_bits` is bit-sliced: instead of testing every
 derivation rule against one relation mask at a time, it turns the masks
@@ -34,73 +42,131 @@ BACKEND = "python"
 # one entry per (universe, hypothesis).  compute_edges decides one
 # hypothesis against the goals of a row, so a few entries suffice: on the
 # Hasse order of (3,3,2) and (4,3,1), 8 to 32 entries hit on 496 of the 676
-# packings (an unbounded cache on 505), while random certify queries rarely
-# repeat one
+# packings (an unbounded cache on 505).  classify of the same windows hits
+# on 356, 417 and 435 of 1,018 with 8, 16 and 32 entries.  On certify, 2 to
+# 32 entries hit on 986 to 988 of 1,873 packings, where the recorded decide
+# repacks the hypothesis of the verdict-only one.  An entry holds about
+# 1.3 KB, 0.4 KB of it row tables
 @lru_cache(maxsize=32)
 def _packed(n, k, m, rows):
-    """Rows packed into fixed-width fields, with their per-depth multiples.
+    """Rows packed into fixed-width fields, with their per-depth multiples
+    and a row table per column.
 
     Each row becomes one int with a field of w = universe.bit_length() bits
-    per entry, the right entry in field m.  Returns (steps, shifts, right):
-    steps[d] holds packed_row * (k+1)**d for every row, shifts the offsets
-    of the m left fields and right the offset of the right field.  Adding
-    steps[d][i] extends every partial column of a tuple by one digit at
-    once; no field carries into the next because every field stays below
-    universe < 2**w.
+    per entry, the right entry in field m.  Returns (steps, left, leaf,
+    right): steps[d] holds packed_row * (k+1)**d for every row and right is
+    the offset of the right field.  Adding steps[d][i] extends every partial
+    column of a tuple by one digit at once; no field carries into the next
+    because every field stays below universe < 2**w.
+
+    left holds one (offset, table) pair per left column j: table[digits],
+    for a set of digits given as a bitmask, is the row mask of the rows
+    whose entry j is one of those digits, 2**(k+1) entries.  leaf is left
+    with one more pair for the right column, whose table is complemented:
+    the rows whose right entry is none of the digits.
     """
     base = k + 1
     w = (base**n).bit_length()
     packed = [sum(e << (w * j) for j, e in enumerate(row)) for row in rows]
     steps = tuple(tuple(p * base**d for p in packed) for d in range(n))
-    return steps, range(0, w * m, w), w * m
+    tables = []
+    for j in range(m + 1):
+        by_digit = [0] * base
+        for i, row in enumerate(rows):
+            by_digit[row[j]] |= 1 << i
+        table = [0]
+        # the 2**x digit sets with x come after the 2**x without it
+        for rows_x in by_digit:
+            table += [t | rows_x for t in table]
+        tables.append((w * j, table))
+    every = (1 << len(rows)) - 1
+    tables[m] = (w * m, [every ^ t for t in tables[m][1]])
+    return steps, tuple(tables[:m]), tuple(tables), w * m
 
 
-def _walk(steps, shifts, field, known, leaf, d=0, acc=0):
-    """Depth-first walk over the row tuples of one hypothesis, pruned on
-    column prefixes; True as soon as leaf returns True.
+def _rows(tables, field, known, acc, rows):
+    """The rows of the row mask `rows` that may follow acc: for each
+    (offset, table) pair, those whose entry is one of the digits that known
+    lets follow the partial column of acc at that offset."""
+    for sh, table in tables:
+        rows &= table[known.get((acc >> sh) & field, 0)]
+    return rows
 
-    A partial tuple of d+1 rows survives while every partial left column,
-    the low d+1 digits of a left column, is in known[d].  For each partial
-    tuple of n-1 rows that survives, in itertools.product order (first
-    coordinate outermost), leaf gets the packed sum of its rows and tries
-    the last row itself.  The sets are read as the walk goes, so a leaf
-    that adds to them prunes the rest of the walk by the larger sets.
+
+def _extend(level, step, tables, field, known, every):
+    """closure_record's stream of the tuples one row longer than those of
+    level that pass the tables, in order."""
+    for acc in level:
+        todo = _rows(tables, field, known, acc, every)
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            yield acc + step[low.bit_length() - 1]
+
+
+def _walk(scan, field, digits, full, stop, base, d=0, acc=0):
+    """closure_mask's depth-first walk below the partial tuple acc of d
+    rows of one hypothesis; True as soon as it adds stop.
+
+    The rows that extend acc are visited in row order, so complete tuples
+    come in itertools.product order (first coordinate outermost).  Each
+    complete tuple that survives adds its right column to full and to the
+    digit dicts.  After a column is added below a row, the rows after it
+    are recomputed from all rows: the set only grows, so rows that failed
+    before may pass now, and narrowing the old mask would drop them.
     """
-    if d == len(steps) - 1:
-        return leaf(acc)
-    seen = known[d]
-    for s in steps[d]:
-        v = acc + s
-        for sh in shifts:
-            if (v >> sh) & field not in seen:
-                break
-        else:
-            if _walk(steps, shifts, field, known, leaf, d + 1, v):
+    steps, left, leaf, right = scan
+    step = steps[d]
+    last = d == len(steps) - 1
+    tables = leaf if last else left
+    every = (1 << len(step)) - 1
+    todo = _rows(tables, field, digits[d], acc, every)
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        v = acc + step[low.bit_length() - 1]
+        size = len(full)
+        if last:
+            c = v >> right
+            _add(digits, c, base)
+            full.add(c)
+            if c == stop:
                 return True
+        elif _walk(scan, field, digits, full, stop, base, d + 1, v):
+            return True
+        if len(full) != size:
+            todo = _rows(tables, field, digits[d], acc, every & -(low << 1))
     return False
 
 
 def _start(n, k, mats, r0):
-    """Shared set-up of the closure kernels: the field mask, the residues
-    of the columns of r0 per depth, and the packed hypotheses as
-    (index, steps, shifts, right), leaving out those without rows."""
+    """Shared set-up of the closure kernels: the field mask, the digit
+    dicts of r0's columns, those columns as a set, and the packed
+    hypotheses as (index, _packed(...)), leaving out those without rows."""
     base = k + 1
     universe = base**n
-    cols = [c for c in range(universe) if (r0 >> c) & 1]
-    # known[d]: codes % (k+1)**(d+1) of the columns in the set; the last
-    # depth holds the columns themselves
-    known = [{c % base ** (d + 1) for c in cols} for d in range(n)]
+    full = {c for c in range(universe) if (r0 >> c) & 1}
+    digits = [{} for _ in range(n)]
+    for c in full:
+        _add(digits, c, base)
     scans = [
-        (mi,) + _packed(n, k, m, tuple(rows))
+        (mi, _packed(n, k, m, tuple(rows)))
         for mi, (m, rows) in enumerate(mats)
         if rows
     ]
-    return (1 << universe.bit_length()) - 1, known, scans
+    return (1 << universe.bit_length()) - 1, digits, full, scans
 
 
-def _add(known, k, c):
-    for d, kd in enumerate(known):
-        kd.add(c % (k + 1) ** (d + 1))
+def _add(digits, c, base):
+    """Enter column c in the digit dicts: digits[d] maps the low d digits
+    of a column of the set to the bitmask of the digits d that extend
+    them."""
+    p, w = 0, 1
+    for known in digits:
+        x = c // w % base
+        known[p] = known.get(p, 0) | 1 << x
+        p += x * w
+        w *= base
 
 
 def closure_mask(n, k, mats, r0, stop=-1):
@@ -117,44 +183,23 @@ def closure_mask(n, k, mats, r0, stop=-1):
     tuples after it.
 
     Prefix pruning: the first d rows of a tuple fix the low d digits of
-    each column, code % (k+1)**d.  A partial tuple is dropped as soon as one
-    of these partial left columns is no prefix of a column in the set.  No
-    tuple below it can pass before a column with that prefix is added, and
-    only a passing tuple below it could add one; so every pruned tuple is
-    one the full scan would find failing.  A complete tuple whose right
-    column is already in the set is skipped before its left columns are
-    tested, since it could add nothing.  The tuples that add a column are
-    visited in the unpruned order, so the result, `stop` included, is the
-    same.
+    each column.  Row d may follow them only if its entry in every left
+    column is a digit that extends those low digits to a prefix of a column
+    in the set; the row tables give all such rows as one row mask.  No
+    tuple below a dropped partial tuple can pass before a column with that
+    prefix is added, and only a passing tuple below it could add one; so
+    every pruned tuple is one the full scan would find failing.  A complete
+    tuple whose right column is already in the set is left out too, since
+    it could add nothing.  The tuples that add a column are visited in the
+    unpruned order, so the result, `stop` included, is the same.
     """
     if stop >= 0 and (r0 >> stop) & 1:
         return r0
-    field, known, scans = _start(n, k, mats, r0)
-    full = known[-1]
-
-    def scan(steps, shifts, right):
-        # True once stop is added; new columns go into every known set
-        def leaf(acc):
-            for s in steps[-1]:
-                v = acc + s
-                c = v >> right
-                if c in full:
-                    continue
-                for sh in shifts:
-                    if (v >> sh) & field not in full:
-                        break
-                else:
-                    _add(known, k, c)
-                    if c == stop:
-                        return True
-            return False
-
-        return _walk(steps, shifts, field, known, leaf)
-
+    field, digits, full, scans = _start(n, k, mats, r0)
     size = None
     while size != len(full):
         size = len(full)
-        if any(scan(steps, shifts, right) for _mi, steps, shifts, right in scans):
+        if any(_walk(scan, field, digits, full, stop, k + 1) for _mi, scan in scans):
             break
     r = r0
     for c in full:
@@ -172,45 +217,42 @@ def closure_record(n, k, mats, r0, stop=-1):
     left columns.
 
     Each round scans every hypothesis against the set as it was at the
-    start of the round: the prefix sets that prune partial tuples and the
-    membership of left and right columns are all read from that snapshot,
-    and the columns a round derives join the set only when the round ends.
-    The rounds stop when one adds nothing, or when `stop` (unless < 0) is
-    in the set; the goal is checked only between rounds.  Tuples are
-    visited in itertools.product order, pruned as in closure_mask, and of
-    the tuples deriving a new column in a round the log keeps the first
-    with the fewest consumed columns outside r0, counted as distinct codes.
+    start of the round: the digit dicts that prune partial tuples and
+    leave out known right columns are read from that snapshot, and the
+    columns a round derives join the set only when the round ends.  The
+    rounds stop when one adds nothing, or when `stop` (unless < 0) is in
+    the set; the goal is checked only between rounds.  Since the set does
+    not change within a round, a scan extends the tuples level by level,
+    each level a stream built in order from the one before, so no level is
+    held; tuples come in itertools.product order, pruned as in
+    closure_mask.  Of the tuples deriving a new column in a round the log
+    keeps the first with the fewest consumed columns outside r0, counted as
+    distinct codes.
     """
-    field, known, scans = _start(n, k, mats, r0)
-    full = known[-1]
+    field, digits, full, scans = _start(n, k, mats, r0)
     fresh = set()  # columns of the set that are not in r0
     log = {}
     r = r0
     while stop not in full:
         size = len(log)
-        for mi, steps, shifts, right in scans:
-
-            def leaf(acc):
-                for s in steps[-1]:
-                    v = acc + s
-                    c = v >> right
-                    if c in full:
-                        continue
-                    for sh in shifts:
-                        if (v >> sh) & field not in full:
-                            break
-                    else:
-                        consumed = tuple((v >> sh) & field for sh in shifts)
-                        cost = len(fresh.intersection(consumed))
-                        best = log.get(c)
-                        if best is None or cost < best[0]:
-                            log[c] = (cost, mi, consumed)
-
-            _walk(steps, shifts, field, known, leaf)
+        for mi, (steps, left, leaf, right) in scans:
+            every = (1 << len(steps[0])) - 1
+            level = (0,)
+            for d, (step, known) in enumerate(zip(steps, digits)):
+                tables = leaf if d == n - 1 else left
+                level = _extend(level, step, tables, field, known, every)
+            for v in level:
+                c = v >> right
+                consumed = tuple((v >> sh) & field for sh, _table in left)
+                cost = len(fresh.intersection(consumed))
+                best = log.get(c)
+                if best is None or cost < best[0]:
+                    log[c] = (cost, mi, consumed)
         if len(log) == size:
             break
         for c in list(log)[size:]:
-            _add(known, k, c)
+            _add(digits, c, k + 1)
+            full.add(c)
             fresh.add(c)
             r |= 1 << c
     return r, log

@@ -117,13 +117,17 @@ class TableauProof:
         return [step.added for step in self.steps]
 
 
-def _first_witness(M, row, k):
-    """First (row index, variable map) of M instantiating row, in
-    instantiate's order."""
-    for ri, source in enumerate(M.rows):
-        for fmap in itertools.product(range(k + 1), repeat=M.k):
-            if apply_map(source, fmap) == row:
-                return ri, fmap
+# a query's certificates share its one or two hypotheses, whose dicts are
+# kept small: their values outweigh instantiate's rows
+@lru_cache(maxsize=4)
+def _first_witnesses(rows, k_source, k_target):
+    """Each instantiated row of rows over the target alphabet mapped to the
+    first (row index, variable map) giving it, in instantiate's order."""
+    first = {}
+    for ri, row in enumerate(rows):
+        for fmap in itertools.product(range(k_target + 1), repeat=k_source):
+            first.setdefault(apply_map(row, fmap), (ri, fmap))
+    return first
 
 
 def _build_proof(S, N, log, verdict):
@@ -145,15 +149,12 @@ def _build_proof(S, N, log, verdict):
 
     for code in codes:
         _cost, mi, consumed = log[code]
+        first = _first_witnesses(S[mi].rows, S[mi].k, N.k)
         added = decode_column(code, base, n)
         cols = [decode_column(c, base, n) for c in consumed]
         rows = [tuple(col[i] for col in cols) + (added[i],) for i in range(n)]
         steps.append(
-            TableauStep(
-                added,
-                tuple((mi,) + _first_witness(S[mi], row, N.k) for row in rows),
-                tuple(cols),
-            )
+            TableauStep(added, tuple((mi,) + first[row] for row in rows), tuple(cols))
         )
     return TableauProof(N, tuple(S), tuple(steps), verdict)
 

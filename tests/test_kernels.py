@@ -80,6 +80,18 @@ def test_closure_mask_matches_reference():
             assert _kernel.closure_mask(n, k, mats, r0, stop) == expected, (n, k, mats, r0, stop)
 
 
+def test_closure_mask_early_stop_after_a_column_is_added():
+    # captured from classify(3,3,2): a walk that only narrows its row mask
+    # after a child adds a column drops rows that the larger set lets pass,
+    # and stops early with 0b11010011011011011 instead
+    rows = ((0, 0, 0, 0), (1, 1, 0, 1), (2, 2, 0, 2), (1, 0, 0, 1), (2, 0, 0, 2),
+            (1, 0, 1, 0), (2, 0, 2, 0), (0, 1, 0, 1), (1, 1, 1, 1), (2, 1, 2, 1),
+            (0, 2, 0, 2), (1, 2, 1, 2), (2, 2, 2, 2))
+    args = (3, 2, [(3, rows)], 32913, 13)
+    assert reference_closure_mask(*args) == 0b11011011011011011
+    assert _kernel.closure_mask(*args) == 0b11011011011011011
+
+
 def reference_saturate_record(n, k, mats, r0, stop=-1):
     """Batch rounds over tuples of column codes built one row at a time,
     each partial tuple kept while its partial left columns are prefixes of
@@ -132,15 +144,27 @@ def test_closure_record_matches_reference():
 WIDE = matrix([row[:-1] + (2,) * 97 + row[-1:] for row in MALTSEV.rows])
 
 
-def test_closure_mask_wide_hypothesis():
+def _wide_case():
     N = SUBTRACTION
-    n, k = N.n, N.k
-    mats = [(WIDE.m, instantiate(WIDE, k))]
-    r0, goal = col_star_mask(N), encode_column(N.right_column, k + 1)
+    mats = [(WIDE.m, instantiate(WIDE, N.k))]
+    return N.n, N.k, mats, col_star_mask(N), encode_column(N.right_column, N.k + 1)
+
+
+def test_closure_mask_wide_hypothesis():
+    n, k, mats, r0, goal = _wide_case()
     assert WIDE.m == 100
     for stop in (-1, goal):
         assert reference_closure_mask(n, k, mats, r0, stop) == 15
         assert _kernel.closure_mask(n, k, mats, r0, stop) == 15
+
+
+def test_closure_record_wide_hypothesis():
+    n, k, mats, r0, goal = _wide_case()
+    for stop in (-1, goal):
+        mask, log = reference_saturate_record(n, k, mats, r0, stop)
+        assert mask == 15
+        got, got_log = _kernel.closure_record(n, k, mats, r0, stop)
+        assert (got, list(got_log.items())) == (mask, list(log.items()))
 
 
 def test_sharp_bits_empty_rows_python():
