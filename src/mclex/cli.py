@@ -114,8 +114,16 @@ def _dispatch(args):
     if args.command == "decide":
         lhs = [_read_matrix(a) for a in args.lhs]
         rhs = [_read_matrix(a) for a in args.rhs]
-        if args.tableau:
-            _check_output_path(args.tableau)
+        # one tableau per goal: several goals write numbered files beside
+        # the given path, and each is checked before any work is done
+        paths = []
+        if args.tableau and len(rhs) == 1:
+            paths = [args.tableau]
+        elif args.tableau:
+            base, ext = os.path.splitext(args.tableau)
+            paths = [f"{base}.{i}{ext or '.json'}" for i in range(len(rhs))]
+        for path in paths:
+            _check_output_path(path)
         verdict, tableaux = decide(lhs, rhs, record=bool(args.tableau))
         print("yes" if verdict else "no")
         if args.tableau and not tableaux:
@@ -123,13 +131,8 @@ def _dispatch(args):
             print(f"note: no tableau written to {args.tableau}: a hypothesis is "
                   "trivial, so the implication holds without a certificate",
                   file=sys.stderr)
-        if args.tableau and tableaux:
-            if len(tableaux) == 1:
-                dump_tableau(tableaux[0], args.tableau)
-            else:
-                base, ext = os.path.splitext(args.tableau)
-                for i, t in enumerate(tableaux):
-                    dump_tableau(t, f"{base}.{i}{ext or '.json'}")
+        for t, path in zip(tableaux, paths):
+            dump_tableau(t, path)
         return 0 if verdict else 1
 
     if args.command == "degeneracy":

@@ -166,18 +166,19 @@ def _probe_masks(n_p, k_p):
 def probes_for(n, k):
     # Signatures only choose which classes a candidate is decided against,
     # so the probe list sets the speed of classify, never its output.
-    # Measured in pure Python, before classify had its normal-form memo:
+    # Measured in pure Python on 2 noisy cores, single runs, with the
+    # sorted-tuple sharp_bits:
     # - no (1, 1) probe: its relations are {*} and the full one, and {*} is
     #   stable unless a row's variable right entry is missing from its left
     #   part, which makes the matrix trivial.  So the probe reads the same
     #   on every non-trivial matrix and tells no proper classes apart.
-    # - no (3, 2) probe: it took 0.32 s of the 0.55-0.7 s of (3,3,2) and
-    #   saved 2 of 818 decides; with it (3,4,2) took 34.0 s instead of
-    #   14.2 s, to save 1.6k of 34.4k decides.
-    # - (2, 2) stays: without it (3,4,2) took 15.0 s instead of 13.0 s,
-    #   with 37.4k decides instead of 34.4k.
-    # - (4, 1) stays: without it (4,6,1) took 17.9 s instead of 15.5 s,
-    #   with 89.1k decides instead of 33.7k.
+    # - no (3, 2) probe: with it (3,3,2) took 0.32 s instead of 0.18 s to
+    #   save 2 of 544 decides, and (3,4,2) 8.5 s instead of 3.9 s to save
+    #   609 of 18,048.
+    # - (2, 2) stays: without it (3,4,2) took 4.9 s instead of 3.9 s, with
+    #   19,600 decides instead of 18,048.
+    # - (4, 1) stays: without it (4,6,1) took 11.3 s instead of 4.9 s, with
+    #   42,473 decides instead of 12,526.
     probes = [(2, 1), (3, 1)]
     if k >= 2:
         probes.append((2, 2))
@@ -229,13 +230,15 @@ def _equiv(A, B):
 
 
 # probes of every signature taken after classify.  On the Hasse order of
-# (3,3,2) and (4,3,1) they cost 0.015 s in all, while (3,2) alone costs
-# about 2 ms per matrix.  They also sign the localized matrices, where the
-# (4,1) probe that probes_for adds for 4 rows saves decides but costs more
-# than they do.  In pure Python on 2 cores, the 37 groups of (4,4,1) took
-# 1.0 s and 496 decides against 2.2 s and 343 with (4,1), and the 79 of
-# (4,5,1) 5.6 s and 2,412 decides against 7.1 s and 870.  The groups are
-# the same with either probe set.
+# (3,3,2) and (4,3,1) they cost 0.06 ms per matrix, 6 ms in all, while
+# (3,2) alone costs about 0.4 ms per matrix.  They also sign the localized
+# matrices, where the (4,1) probe that probes_for adds for 4 rows cost more
+# than the decides it saved until sharp_bits walked only sorted row tuples.
+# With that kernel, in pure Python on 2 cores, single runs, (4,1) would now
+# pay on the larger windows: the 79 groups of (4,5,1) took 1.55 s, 870
+# decides and 466 loc_equal calls with it against 2.57 s, 2,412 and 1,802
+# without, and the 37 of (4,4,1) 0.72 s and 343 decides against 0.45 s and
+# 496.  The groups are the same with either probe set.
 _EDGE_PROBES = ((2, 1), (3, 1))
 
 

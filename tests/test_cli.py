@@ -113,6 +113,22 @@ def test_decide_rejects_unwritable_tableau_before_deciding(capsys, tmp_path,
     assert list((tmp_path / "a-dir").iterdir()) == []
 
 
+def test_decide_rejects_unwritable_numbered_tableau_before_deciding(capsys, tmp_path,
+                                                                    monkeypatch):
+    # two goals write out.0.json and out.1.json; the first is a directory
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("decide called before the tableau paths were checked")
+
+    monkeypatch.setattr("mclex.cli.decide", refuse)
+    (tmp_path / "out.0.json").mkdir()
+    code, out, err = run(capsys, "decide", "--lhs", "1 2 2 | 1 ; 2 2 1 | 1",
+                         "--rhs", "1 * | 1 ; * 1 | 1", "--rhs", "1 * | 1 ; 1 1 | *",
+                         "--tableau", str(tmp_path / "out.json"))
+    assert code == 2 and out == ""
+    assert "error: cannot write" in err and "out.0.json" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.0.json"]
+
+
 def test_check_tableau_invalid(capsys, tmp_path):
     target = tmp_path / "proof.json"
     run(

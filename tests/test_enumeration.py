@@ -142,6 +142,21 @@ def test_signature_separates_known_classes():
     assert signature(SU2, probes) != signature(MALTSEV, probes)
 
 
+def test_signatures_pinned():
+    # sha256 over (rows, signature) of every class of (3,3,2) and (4,3,1)
+    # over classify's own probes, taken before sharp_bits walked only sorted
+    # row tuples; equal signatures keep buckets, decides and checkpoints
+    digest, count = hashlib.sha256(), 0
+    for n, m, k in [(3, 3, 2), (4, 3, 1)]:
+        for node in classify(n, m, k).classes:
+            sig = signature(node.rep, probes_for(n, k))
+            digest.update(repr((node.rep.rows, sig)).encode())
+            count += 1
+    assert (count, digest.hexdigest()) == (
+        90, "2b58d7bd807d9a4d0ef70b333938a066a0f1d8c84da0b4b30c861468d124e3ac"
+    )
+
+
 # --- classification ----------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from conftest import MALTSEV, SUBTRACTION
 from mclex import _kernel
 from mclex.closure import col_star_mask, encode_column, instantiate
 from mclex.enumeration import _probe_masks, probes_for
+from mclex.localization import localize
 from mclex import matrix
 
 
@@ -206,32 +207,77 @@ def _probe_shapes():
     return sorted(shapes | {(3, 2)})
 
 
-@pytest.mark.parametrize("probe", _probe_shapes())
-def test_sharp_bits_matches_reference(probe):
+def _digit_permutations(c, n, base):
+    """The codes of c with its n base-`base` digits permuted every way."""
+    digits = [c // base**d % base for d in range(n)]
+    return {
+        sum(e * base**d for d, e in enumerate(perm))
+        for perm in itertools.permutations(digits)
+    }
+
+
+def _sharp_bits_cases(probe):
+    """(m, rows) of the matrices sharp_bits is tested on: hand-picked ones,
+    small random ones, 4-row ones, and localizations of random ones with up
+    to 7 left columns."""
     n_p, k_p = probe
-    masks = _probe_masks(n_p, k_p)
     rng = random.Random(n_p * 10 + k_p)
     mats = [
         matrix([(1, 2, 1)]),  # every rule has its consequent among its antecedents
         matrix([(1, 2, 2), (2, 1, 2)]),  # some rules have, some have not
         matrix([(1,)]),  # m == 0
         matrix([(0,), (1,)]),  # m == 0
+        # representatives of (4,3,1) classes on which a kernel that leaves
+        # out the reversing digit permutation goes wrong over (3,2) and (4,1)
+        matrix([(1, 1, 0, 1), (1, 0, 1, 0), (0, 1, 0, 0)]),
+        matrix([(1, 1, 0, 1), (1, 0, 1, 1), (1, 0, 0, 0), (0, 1, 1, 0)]),
+        matrix([(1, 1, 0, 1), (1, 0, 1, 0), (1, 0, 0, 0), (0, 1, 1, 0)]),
+        matrix([(1, 1, 0, 1), (1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0)]),
     ]
     for _ in range(40):
         mats.append(
             random_matrix(rng, rng.randint(1, 3), rng.randint(0, 3), rng.randint(0, 2))
         )
-    for M in mats:
-        rows = instantiate(M, k_p)
-        expected = reference_sharp_bits(n_p, k_p, M.m, rows, masks)
-        assert _kernel.sharp_bits(n_p, k_p, M.m, rows, masks) == expected, M
+    for _ in range(4):
+        mats.append(random_matrix(rng, 4, rng.randint(1, 3), 1))
+    cases = [(M.m, instantiate(M, k_p)) for M in mats]
+    for m in range(3, 7):
+        M = localize(random_matrix(rng, rng.randint(1, 3), m, 1))
+        # keep the rule-by-rule reference small: rows**n_p tuples
+        cases.append((M.m, instantiate(M, k_p)[: int(10000 ** (1 / n_p))]))
+    return cases
+
+
+@pytest.mark.parametrize("probe", _probe_shapes())
+def test_sharp_bits_matches_reference(probe):
+    n_p, k_p = probe
+    base = k_p + 1
+    masks = _probe_masks(n_p, k_p)
+    # masks that are not closed under digit permutations, some without the
+    # all-star code 0
+    rng = random.Random(n_p * 100 + k_p)
+    loose = [rng.getrandbits(base**n_p) for _ in range(60)]
+    assert any(not rm & 1 for rm in loose)
+    if n_p > 1:
+        assert any(
+            not all((rm >> d) & 1 for c in range(base**n_p) if (rm >> c) & 1
+                    for d in _digit_permutations(c, n_p, base))
+            for rm in loose
+        )
+    cases = _sharp_bits_cases(probe)
+    assert max(m for m, _rows in cases) == 7
+    for m, rows in cases:
+        expected = reference_sharp_bits(n_p, k_p, m, rows, loose)
+        assert _kernel.sharp_bits(n_p, k_p, m, rows, loose) == expected, rows
+        expected = reference_sharp_bits(n_p, k_p, m, rows, masks)
+        assert _kernel.sharp_bits(n_p, k_p, m, rows, masks) == expected, rows
         # a prefix of the masks is another cache key over the same universe
         head = list(masks[:100])
-        assert _kernel.sharp_bits(n_p, k_p, M.m, rows, head) == expected & (
+        assert _kernel.sharp_bits(n_p, k_p, m, rows, head) == expected & (
             (1 << len(head)) - 1
         )
     full = (1 << len(masks)) - 1
     assert _kernel.sharp_bits(n_p, k_p, 0, (), masks) == full
-    all_trivial = mats[0]
+    all_trivial = matrix([(1, 2, 1)])
     rows = instantiate(all_trivial, k_p)
     assert _kernel.sharp_bits(n_p, k_p, all_trivial.m, rows, masks) == full
