@@ -68,50 +68,56 @@ def _valid_columns(n_rows, k):
 def _gen_shape(n_rows, a, m_cols, v):
     """Candidate row tuples for a fixed row count, right-column split
     (a variable rights, the rest stars), left column count and largest
-    variable v, streamed in left-column lex order."""
+    variable v, streamed lazily, depth first, in left-column lex order.
+
+    Rows are block-sorted: each column has a bitmask of the neighbouring
+    row pairs it orders wrongly and one of those it separates, and the
+    walk keeps the pairs not yet separated as one int.  seen[r] is the
+    largest variable of row r so far, right entry included (STAR is 0, so
+    seen starts at rights); its step per (column, seen) is memoized."""
     cols = _valid_columns(n_rows, v)
-    b = n_rows - a
-    pairs = [i for i in range(n_rows - 1) if (i + 1 < a) or (i >= a)]
-    rights = (1,) * a + (STAR,) * b
+    rights = (1,) * a + (STAR,) * (n_rows - a)
+    pairs = [r for r in range(n_rows - 1) if r + 1 < a or r >= a]
+    keys = [tuple(map(entry_key, c)) for c in cols]
+    wrong = [sum(1 << i for i, r in enumerate(pairs) if k[r] > k[r + 1]) for k in keys]
+    splits = [sum(1 << i for i, r in enumerate(pairs) if k[r] < k[r + 1]) for k in keys]
+    steps = {}
 
-    # seen[r]: the largest variable of row r so far, right entry included;
-    # STAR is 0, so rights is also where seen starts
-    def rec(start, chosen, seen, seps):
-        if len(chosen) == m_cols:
-            if all(seps) and max(seen) == v:
-                yield tuple(zip(*chosen, rights))
-            return
-        need = m_cols - len(chosen)
-        for idx in range(start, len(cols) - need + 1):
-            c = cols[idx]
-            new_seen = list(seen)
-            ok = True
-            for r in range(n_rows):
-                e = c[r]
-                if e == STAR:
-                    continue
-                if e > seen[r] + 1:
-                    ok = False
-                    break
-                if e == seen[r] + 1:
-                    new_seen[r] = e
-            if not ok:
-                continue
-            new_seps = list(seps)
-            for pi, r in enumerate(pairs):
-                if seps[pi]:
-                    continue
-                ka, kb = entry_key(c[r]), entry_key(c[r + 1])
-                if ka > kb:
-                    ok = False
-                    break
-                if ka < kb:
-                    new_seps[pi] = True
-            if not ok:
-                continue
-            yield from rec(idx + 1, chosen + [c], tuple(new_seen), tuple(new_seps))
+    def step(idx, seen):
+        # () when column idx names a variable out of order
+        new_seen = list(seen)
+        for r, e in enumerate(cols[idx]):
+            if e > seen[r] + 1:
+                return ()
+            if e == seen[r] + 1:
+                new_seen[r] = e
+        return tuple(new_seen)
 
-    yield from rec(0, [], rights, (False,) * len(pairs))
+    chosen = []
+
+    def rec(start, seen, open_pairs):
+        depth = len(chosen) + 1
+        for idx in range(start, len(cols) - m_cols + depth):
+            if wrong[idx] & open_pairs:
+                continue
+            new_seen = steps.get((idx, seen))
+            if new_seen is None:
+                new_seen = steps[idx, seen] = step(idx, seen)
+            if not new_seen:
+                continue
+            if depth == m_cols:
+                # the last column yields without a generator per candidate
+                if not open_pairs & ~splits[idx] and max(new_seen) == v:
+                    yield tuple(zip(*chosen, cols[idx], rights))
+            else:
+                chosen.append(cols[idx])
+                yield from rec(idx + 1, new_seen, open_pairs & ~splits[idx])
+                chosen.pop()
+
+    if m_cols:
+        yield from rec(0, rights, (1 << len(pairs)) - 1)
+    elif not pairs and max(rights) == v:
+        yield tuple(zip(rights))
 
 
 def candidate_batches(n, m, k):

@@ -26,7 +26,7 @@ from mclex import (
     normalize,
     parse_matrix,
 )
-from mclex.degeneracy import kind_of_rows
+from mclex.degeneracy import _row_view, kind_of_rows
 from mclex.matrix import STAR
 from test_matrix import all_matrices
 
@@ -95,20 +95,51 @@ def _reference_anti_trivial(M):
     return any(M.left_column(j) == right for j in range(M.m))
 
 
+def _reference_joined(row, other, a, b):
+    # the union-find join of two rows' kernels that triviality used before
+    # it read cached row views: nodes 0..m, node m joined to every star
+    m = len(row) - 1
+    comp = list(range(m + 1))
+    for r in (row, other):
+        for j, e in enumerate(r[:-1]):
+            x, y = comp[j], comp[m if e == STAR else r.index(e)]
+            if x != y:
+                comp = [y if c == x else c for c in comp]
+    return comp[a] == comp[b]
+
+
+def _reference_trivial(rows):
+    m = len(rows[0]) - 1
+    anchors = []
+    for row in rows:
+        r = row[-1]
+        if r == STAR:
+            anchors.append(m)
+        elif r in row[:-1]:
+            anchors.append(row.index(r))
+        else:
+            return True
+    return any(
+        anchors[i] != anchors[ip]
+        and not _reference_joined(rows[i], rows[ip], anchors[i], anchors[ip])
+        for i, ip in itertools.combinations(range(len(rows)), 2)
+    )
+
+
 def _reference_kind(M):
     if _reference_anti_trivial(M):
         return DegeneracyClass.ANTI_TRIVIAL
-    if is_trivial(M):
+    if _reference_trivial(M.rows):
         return DegeneracyClass.TRIVIAL
     return DegeneracyClass.PROPER
 
 
 def _random_grids(count, seed):
-    """Seeded grids of up to 4 rows and 4 left columns, m == 0 included;
+    """Seeded grids of up to 5 rows and 5 left columns, m == 0 included;
     every third one has an all-star right column."""
     rng = random.Random(seed)
     for i in range(count):
-        n, m, k = rng.randint(1, 4), rng.randint(0, 4), rng.randint(0, 3)
+        n, m, k = rng.randint(1, 5), rng.randint(0, 5), rng.randint(0, 3)
         rows = [[rng.randint(0, k) for _ in range(m + 1)] for _ in range(n)]
         if i % 3 == 0:
             for row in rows:
@@ -119,7 +150,7 @@ def _random_grids(count, seed):
 @pytest.mark.parametrize("source", ["candidates", "random"])
 def test_row_level_kind_matches_reference(source):
     if source == "candidates":
-        windows = [candidate_stream(*w) for w in ((3, 3, 2), (4, 3, 1), (2, 6, 3))]
+        windows = (candidate_stream(*w) for w in ((3, 3, 2), (4, 3, 1), (4, 4, 1), (2, 6, 3)))
         grids = map(matrix, itertools.chain(*windows))
     else:
         grids = _random_grids(3000, seed=15)
@@ -127,7 +158,17 @@ def test_row_level_kind_matches_reference(source):
         want = _reference_kind(M)
         assert kind_of_rows(M.rows) is want, M.text()
         assert degeneracy_class(M) is want, M.text()
+        assert is_trivial(M) == _reference_trivial(M.rows), M.text()
         assert is_anti_trivial(M) == _reference_anti_trivial(M), M.text()
+
+
+def test_row_view_cache_stays_bounded():
+    info = _row_view.cache_info()
+    assert info.maxsize is not None and info.maxsize <= 1024
+    _row_view.cache_clear()
+    for rows in candidate_stream(2, 6, 3):
+        kind_of_rows(rows)
+    assert _row_view.cache_info().currsize <= info.maxsize
 
 
 def test_classify_leaves_the_triviality_cache_small():

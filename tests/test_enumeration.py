@@ -66,7 +66,9 @@ def test_candidates_unique_and_ordered():
 
 # sha256 over repr(rows) of the raw candidate stream, in stream order,
 # with the candidate count; taken when each batch still regenerated its
-# shapes once per variable budget and filtered them by largest variable
+# shapes once per variable budget and filtered them by largest variable.
+# (4,4,1), (3,4,2) and (4,6,1), the certify pools and the largest 4-row
+# stream here, were taken before _gen_shape read column bitmasks
 _STREAM_DIGESTS = {
     (1, 0, 0): (1, "efd70b49446e8be6bedf3dfe219a88a352831f684dce5d48505e29b260989f2b"),
     (2, 0, 1): (3, "75ecf17e356b90aab40cacd5624dc8039367472ebe63d4ae7eedcf2b02a05d32"),
@@ -76,6 +78,9 @@ _STREAM_DIGESTS = {
     (2, 4, 3): (1198, "ced28ddb5b1d4c4c4a5821b419cefe796c7dce747dfaf7a4efb7f999de2443f2"),
     (3, 3, 2): (2722, "148448f972be5dd7e030cc0c6272987d2e683276e098f012db70d2ce1a2ba8a4"),
     (4, 3, 1): (575, "95614838d3e5d8a6136da28b0d61a7aeaa766f69775b431fef29bf48c28fea4b"),
+    (4, 4, 1): (2564, "a28f191387dc8c65bad13a12962f21b13296c4cf9de8e0a530f2be2006d589c6"),
+    (3, 4, 2): (19451, "be2394014025e68d5c8e05c2f7d96aa727abfd02e0deb0ae149f9ac629319779"),
+    (4, 6, 1): (19426, "1b19dbf1e3c0c7998d3d39107073fc6f5a6611ef3ff90289d3df7dc38c7a8d16"),
 }
 
 
