@@ -9,13 +9,14 @@ every column code with one addition.
 
 The closure kernels extend row tuples one row at a time; row d of a tuple
 gives digit d of each of its columns.  They keep the column set as digit
-dicts, one per depth d, that map the low d digits of a column of the set
-to the bitmask of the digits d that extend them, and a set of rows of one
-hypothesis as a row mask.  Each column of a hypothesis has a row table
-that maps a set of digits to the mask of the rows whose entry is one of
-them.  The rows that may extend a partial tuple are then the AND, over its
-left columns, of one row-table entry each (the set intersection of generic
-join, bit-parallel over the rows) instead of one prefix test per row.  A partial tuple is dropped as soon as one of its
+lists, one per depth d with (k+1)**d entries: entry p is the bitmask of
+the digits d that extend the low d digits p to a column of the set.  A set
+of rows of one hypothesis is a row mask.  Each column of a hypothesis has
+a row table that maps a set of digits to the mask of the rows whose entry
+is one of them.  The rows that may extend a partial tuple are then the
+AND, over its left columns, of one row-table entry each (the set
+intersection of generic join, bit-parallel over the rows) instead of one
+prefix test per row.  A partial tuple is dropped as soon as one of its
 partial left columns is no prefix of a column in the set, and a complete
 tuple whose right column is in the set is never visited.
 
@@ -47,8 +48,8 @@ BACKEND = "python"
 
 # one entry per (universe, hypothesis).  compute_edges decides one
 # hypothesis against the goals of a row, so a few entries suffice: on the
-# Hasse order of (3,3,2) and (4,3,1), 8 to 32 entries hit on 496 of the 676
-# packings (an unbounded cache on 505).  classify of the same windows hits
+# Hasse order of (3,3,2) and (4,3,1), 8 to 32 entries hit on 461 of the 636
+# packings (an unbounded cache on 470).  classify of the same windows hits
 # on 356, 417 and 435 of 1,018 with 8, 16 and 32 entries.  On certify, 2 to
 # 32 entries hit on 986 to 988 of 1,873 packings, where the recorded decide
 # repacks the hypothesis of the verdict-only one.  An entry holds about
@@ -90,20 +91,13 @@ def _packed(n, k, m, rows):
     return steps, tuple(tables[:m]), tuple(tables), w * m
 
 
-def _rows(tables, field, known, acc, rows):
-    """The rows of the row mask `rows` that may follow acc: for each
-    (offset, table) pair, those whose entry is one of the digits that known
-    lets follow the partial column of acc at that offset."""
-    for sh, table in tables:
-        rows &= table[known.get((acc >> sh) & field, 0)]
-    return rows
-
-
 def _extend(level, step, tables, field, known, every):
     """closure_record's stream of the tuples one row longer than those of
     level that pass the tables, in order."""
     for acc in level:
-        todo = _rows(tables, field, known, acc, every)
+        todo = every
+        for sh, table in tables:
+            todo &= table[known[(acc >> sh) & field]]
         while todo:
             low = todo & -todo
             todo ^= low
@@ -114,45 +108,57 @@ def _walk(scan, field, digits, full, stop, base, d=0, acc=0):
     """closure_mask's depth-first walk below the partial tuple acc of d
     rows of one hypothesis; True as soon as it adds stop.
 
-    The rows that extend acc are visited in row order, so complete tuples
-    come in itertools.product order (first coordinate outermost).  Each
-    complete tuple that survives adds its right column to full and to the
-    digit dicts.  After a column is added below a row, the rows after it
-    are recomputed from all rows: the set only grows, so rows that failed
+    The rows that extend acc, the AND of one row-table entry per left
+    column, are visited in row order, so complete tuples come in
+    itertools.product order (first coordinate outermost).  Each complete
+    tuple that survives adds its right column to full and to the digit
+    lists.  After a column is added below a row, the rows after it are
+    recomputed from all rows: the set only grows, so rows that failed
     before may pass now, and narrowing the old mask would drop them.
     """
     steps, left, leaf, right = scan
     step = steps[d]
-    last = d == len(steps) - 1
-    tables = leaf if last else left
+    known = digits[d]
     every = (1 << len(step)) - 1
-    todo = _rows(tables, field, digits[d], acc, every)
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        v = acc + step[low.bit_length() - 1]
-        size = len(full)
-        if last:
-            c = v >> right
+    todo = every
+    if d == len(steps) - 1:
+        for sh, table in leaf:
+            todo &= table[known[(acc >> sh) & field]]
+        while todo:
+            low = todo & -todo
+            c = (acc + step[low.bit_length() - 1]) >> right
+            # the leaf table leaves out known right columns, so c is new
             _add(digits, c, base)
             full.add(c)
             if c == stop:
                 return True
-        elif _walk(scan, field, digits, full, stop, base, d + 1, v):
+            todo = every & -(low << 1)
+            for sh, table in leaf:
+                todo &= table[known[(acc >> sh) & field]]
+        return False
+    for sh, table in left:
+        todo &= table[known[(acc >> sh) & field]]
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        size = len(full)
+        if _walk(scan, field, digits, full, stop, base, d + 1, acc + step[low.bit_length() - 1]):
             return True
         if len(full) != size:
-            todo = _rows(tables, field, digits[d], acc, every & -(low << 1))
+            todo = every & -(low << 1)
+            for sh, table in left:
+                todo &= table[known[(acc >> sh) & field]]
     return False
 
 
 def _start(n, k, mats, r0):
     """Shared set-up of the closure kernels: the field mask, the digit
-    dicts of r0's columns, those columns as a set, and the packed
+    lists of r0's columns, those columns as a set, and the packed
     hypotheses as (index, _packed(...)), leaving out those without rows."""
     base = k + 1
     universe = base**n
     full = {c for c in range(universe) if (r0 >> c) & 1}
-    digits = [{} for _ in range(n)]
+    digits = [[0] * base**d for d in range(n)]
     for c in full:
         _add(digits, c, base)
     scans = [
@@ -164,13 +170,12 @@ def _start(n, k, mats, r0):
 
 
 def _add(digits, c, base):
-    """Enter column c in the digit dicts: digits[d] maps the low d digits
-    of a column of the set to the bitmask of the digits d that extend
-    them."""
+    """Enter column c in the digit lists: digits[d][p] is the bitmask of
+    the digits d that extend the low d digits p to a column of the set."""
     p, w = 0, 1
     for known in digits:
         x = c // w % base
-        known[p] = known.get(p, 0) | 1 << x
+        known[p] |= 1 << x
         p += x * w
         w *= base
 
@@ -223,7 +228,7 @@ def closure_record(n, k, mats, r0, stop=-1):
     left columns.
 
     Each round scans every hypothesis against the set as it was at the
-    start of the round: the digit dicts that prune partial tuples and
+    start of the round: the digit lists that prune partial tuples and
     leave out known right columns are read from that snapshot, and the
     columns a round derives join the set only when the round ends.  The
     rounds stop when one adds nothing, or when `stop` (unless < 0) is in

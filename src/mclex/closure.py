@@ -67,6 +67,15 @@ def col_star_mask(N):
     return mask
 
 
+# one entry per goal matrix.  compute_edges asks the goals of a window
+# over and over, one row of pairs at a time, so the cache holds every class
+# of (4,6,1) (1,066).  An entry holds about 0.2 KB, its matrix included
+@lru_cache(maxsize=1 << 11)
+def _goal_codes(N):
+    """col*(N) as a column mask and the code of N's right column."""
+    return col_star_mask(N), encode_column(N.right_column, N.k + 1)
+
+
 def saturate(S, N, record=False, stop_at_goal=True):
     """Close col*(N) under the derivation rules of S inside N's universe.
 
@@ -80,8 +89,7 @@ def saturate(S, N, record=False, stop_at_goal=True):
     off the log.
     """
     n, k = N.n, N.k
-    r0 = col_star_mask(N)
-    goal = encode_column(N.right_column, k + 1)
+    r0, goal = _goal_codes(N)
     stop = goal if stop_at_goal else -1
     mats = [(M.m, instantiate(M, k)) for M in S]
     if not record:
@@ -136,7 +144,7 @@ def _build_proof(S, N, log, verdict):
     steps = [TableauStep((STAR,) * n, (), ())]
     if verdict:
         needed = set()
-        stack = [encode_column(N.right_column, base)]
+        stack = [_goal_codes(N)[1]]
         while stack:
             code = stack.pop()
             if code in log and code not in needed:
@@ -172,8 +180,7 @@ def decide(S, U, record=False):
     tableaux = []
     verdict = True
     for N in U:
-        base = N.k + 1
-        goal = encode_column(N.right_column, base)
+        goal = _goal_codes(N)[1]
         if record:
             mask, log = saturate(S, N, record=True, stop_at_goal=True)
             ok = bool((mask >> goal) & 1)

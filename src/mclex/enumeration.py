@@ -285,9 +285,13 @@ class Decider:
     is known not to imply.  `implies(A, B)` answers, in this order:
 
     1. False when A's signature has a bit that B's lacks, since
-       implication keeps stability (see `_pair_signature`);
+       implication keeps stability (see `_pair_signature`).  The signature
+       is packed into one int, probe after probe, so one AND, sig[A] &
+       ~hi[B], tests every probe.  A trivial matrix refutes nothing on
+       either side: its sig is 0 and its hi all ones (-1);
     2. True when B is in succ[A];
-    3. False when B is in nots[A];
+    3. False when succ[B] meets nots[A]: B implies a matrix that A does
+       not, so A =/=> B (B itself included, as B is in succ[B]);
     4. otherwise `decide([A], [B])`, whose answer extends the bitsets.
 
     Transitivity: `decide` is a complete decision procedure for a
@@ -306,6 +310,7 @@ class Decider:
     def __init__(self):
         self._ids = {}
         self._sig = []
+        self._hi = []
         self._succ = []
         self._nots = []
 
@@ -313,19 +318,24 @@ class Decider:
         i = self._ids.get(M)
         if i is None:
             i = self._ids[M] = len(self._sig)
-            self._sig.append(_pair_signature(M))
+            parts = _pair_signature(M)
+            sig = 0
+            for part, probe in zip(parts, _EDGE_PROBES):
+                sig = sig << len(_probe_masks(*probe)) | part
+            self._sig.append(sig)
+            self._hi.append(sig if parts else -1)
             self._succ.append(1 << i)
             self._nots.append(0)
         return i
 
     def implies(self, A, B):
         i, j = self._number(A), self._number(B)
-        if any(a & ~b for a, b in zip(self._sig[i], self._sig[j])):
+        if self._sig[i] & ~self._hi[j]:
             return False
         succ, nots = self._succ, self._nots
         if (succ[i] >> j) & 1:
             return True
-        if (nots[i] >> j) & 1:
+        if succ[j] & nots[i]:
             return False
         if decide([A], [B])[0]:
             succ[i] |= succ[j]

@@ -24,10 +24,11 @@ from mclex import (
     window_caps,
 )
 from mclex.closure import decide
-from mclex.degeneracy import DegeneracyClass, degeneracy_class
+from mclex.degeneracy import DegeneracyClass, degeneracy_class, is_trivial
 from mclex.enumeration import (
     _EDGE_PROBES,
     CheckpointError,
+    Decider,
     _pair_signature,
     candidate_batches,
     compute_groups,
@@ -499,7 +500,7 @@ def test_pruned_edges_equal_brute_force(window, shuffle):
 
 def test_pruned_edges_decide_few_pairs(monkeypatch):
     # classified before counting: run alone, the classify decides would count
-    reps = _reps((3, 3, 2))
+    reps, reps_4 = _reps((3, 3, 2)), _reps((4, 3, 1))
     calls = []
 
     def counting(S, U, record=False):
@@ -510,6 +511,28 @@ def test_pruned_edges_decide_few_pairs(monkeypatch):
     compute_edges(reps)
     assert len(reps) * (len(reps) - 1) == 1722
     assert len(calls) <= 600
+    # 443 with the inference from succ[B] and nots[A], 458 without it
+    calls.clear()
+    compute_edges(reps_4)
+    assert len(calls) <= 450
+
+
+def test_packed_signatures_refute_as_the_probe_tuples():
+    # every ordered pair of both windows' representatives, the trivial and
+    # anti-trivial classes included, so that a trivial matrix sits on
+    # each side
+    reps = _reps((3, 3, 2)) + _reps((4, 3, 1))
+    assert sum(is_trivial(M) for M in reps) == 2
+    decider = Decider()
+    ids = [decider._number(M) for M in reps]
+    refuted = 0
+    for A, i in zip(reps, ids):
+        for B, j in zip(reps, ids):
+            sig_A, sig_B = _pair_signature(A), _pair_signature(B)
+            want = any(a & ~b for a, b in zip(sig_A, sig_B))
+            assert bool(decider._sig[i] & ~decider._hi[j]) == want, (A, B)
+            refuted += want
+    assert 0 < refuted < len(reps) ** 2
 
 
 # --- properties of decide on random candidates --------------------------------

@@ -10,7 +10,7 @@ from mclex import _kernel
 from mclex.closure import col_star_mask, encode_column, instantiate
 from mclex.enumeration import _probe_masks, probes_for
 from mclex.localization import localize
-from mclex import matrix
+from mclex import classify, matrix
 
 
 def random_matrix(rng, n, m, k):
@@ -57,8 +57,9 @@ def _random_case(rng, n, k):
 
 def _closure_cases(rng):
     """(n, k, mats, r0, goal) over n = 1..4 and k = 1..3, with one to three
-    hypotheses, m == 0 hypotheses and empty row lists among them, and three
-    cases over the universe of 625 columns at n = k = 4."""
+    hypotheses, m == 0 hypotheses and empty row lists among them, three
+    cases over the universe of 625 columns at n = k = 4, one at n = 5 and
+    the pairs of `_hasse_cases`."""
     cases = [
         _random_case(rng, n, k) for n in range(1, 5) for k in range(1, 4) for _ in range(16)
     ]
@@ -67,11 +68,32 @@ def _closure_cases(rng):
     cases.append((2, 1, [(2, [])], r0, code))  # empty row list
     cases.append((2, 1, [(2, []), (0, [(1,)]), (1, [(1, 1), (0, 1)])], r0, code))
     cases.append((1, 3, [(0, [(2,)]), (1, [(2, 3)]), (1, [(3, 1)])], 1, 1))
+    # the second row of the first hypothesis passes only once the first row
+    # has added column 1, and then reaches the goal before the second
+    # hypothesis adds column 3
+    cases.append((1, 3, [(1, [(0, 1), (1, 2)]), (1, [(0, 3)])], 1, 2))
     # the first derives 624 columns and reaches its goal, the second derives
     # 80 and stops short of it, the third derives none
     wide = random.Random(2)
     cases += [_random_case(wide, 4, 4) for _ in range(3)]
-    return cases
+    # n = 5, k = 3: the deepest digit list has 4**4 = 256 entries; three
+    # hypotheses derive all 1,024 columns
+    cases.append(_random_case(random.Random(3), 5, 3))
+    return cases + _hasse_cases()
+
+
+def _hasse_cases():
+    """(n, k, mats, r0, goal) of 40 seeded ordered pairs of four-row
+    representatives of (4,3,1): one hypothesis of five instantiated rows
+    against a goal over (4,1), the shape of most Hasse decides."""
+    four = [c.rep for c in classify(4, 3, 1).classes if c.rep.n == 4]
+    assert {len(instantiate(M, 1)) for M in four} == {5}
+    pairs = random.Random(431).sample(list(itertools.permutations(four, 2)), 40)
+    return [
+        (4, 1, [(A.m, instantiate(A, 1))], col_star_mask(N),
+         encode_column(N.right_column, 2))
+        for A, N in pairs
+    ]
 
 
 def test_closure_mask_matches_reference():
