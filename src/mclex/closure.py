@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _kernel
 from .degeneracy import is_trivial
-from .matrix import STAR, ExtendedMatrix, entry_text, parse_matrix
+from .matrix import STAR, _Frozen, entry_text, parse_entries, parse_matrix
 
 
 def encode_column(col, base):
@@ -100,19 +99,33 @@ def saturate(S, N, record=False, stop_at_goal=True):
 # --- tableaux ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TableauStep:
-    added: tuple  # column tuple
-    witnesses: tuple  # per coordinate: (hypothesis index, row index, var map)
-    consumed: tuple  # column tuples, one per left column of the hypothesis
+class TableauStep(_Frozen):
+    __slots__ = (
+        "added",  # column tuple
+        "witnesses",  # per coordinate: (hypothesis index, row index, var map)
+        "consumed",  # column tuples, one per left column of the hypothesis
+    )
+
+    def __init__(self, added, witnesses, consumed):
+        object.__setattr__(self, "added", added)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "consumed", consumed)
+
+    def _values(self):
+        return (self.added, self.witnesses, self.consumed)
 
 
-@dataclass(frozen=True)
-class TableauProof:
-    goal: ExtendedMatrix
-    hypotheses: tuple
-    steps: tuple
-    verdict: bool
+class TableauProof(_Frozen):
+    __slots__ = ("goal", "hypotheses", "steps", "verdict")
+
+    def __init__(self, goal, hypotheses, steps, verdict):
+        object.__setattr__(self, "goal", goal)
+        object.__setattr__(self, "hypotheses", hypotheses)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "verdict", verdict)
+
+    def _values(self):
+        return (self.goal, self.hypotheses, self.steps, self.verdict)
 
     @property
     def final_columns(self):
@@ -285,7 +298,10 @@ def _fields(obj, fields):
 def _col_from_json(items):
     if type(items) is not list or not {str}.issuperset(map(type, items)):
         raise ValueError("malformed tableau: a column must be a list of strings")
-    return tuple(STAR if t == "*" else int(t) for t in items)
+    try:
+        return parse_entries(items)
+    except ValueError as err:
+        raise ValueError(f"malformed tableau: {err} in a column") from None
 
 
 def tableau_to_json(proof):

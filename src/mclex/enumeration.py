@@ -19,14 +19,13 @@ import itertools
 import json
 import os
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import __version__, _kernel
 from .closure import decide, instantiate
 from .degeneracy import DegeneracyClass, degeneracy_class, is_trivial, kind_of_rows
 from .localization import loc_equal, localize
-from .matrix import STAR, ExtendedMatrix, _normalize_rows, entry_key, matrix
+from .matrix import STAR, _normalize_rows, entry_key, matrix
 
 # Named localization targets (star-free matrices).
 ANCHORS = {
@@ -206,28 +205,34 @@ def signature(M, probes):
 # --- classification ----------------------------------------------------------
 
 
-@dataclass
 class ClassNode:
-    id: int
-    rep: ExtendedMatrix
-    kind: DegeneracyClass
-    members: int = 1
-    sig: tuple = None
+    __slots__ = ("id", "rep", "kind", "members", "sig")
+
+    def __init__(self, id, rep, kind, members=1, sig=None):
+        self.id = id
+        self.rep = rep
+        self.kind = kind
+        self.members = members
+        self.sig = sig
 
 
-@dataclass
 class Group:
-    label: str
-    class_ids: list
+    __slots__ = ("label", "class_ids")
+
+    def __init__(self, label, class_ids):
+        self.label = label
+        self.class_ids = class_ids
 
 
-@dataclass
 class PosetGraph:
-    params: tuple  # (n, m, k)
-    classes: list
-    edges: set = None  # directed (i, j): class i implies class j
-    reduced: set = None
-    groups: list = None
+    __slots__ = ("params", "classes", "edges", "reduced", "groups")
+
+    def __init__(self, params, classes, edges=None, reduced=None, groups=None):
+        self.params = params  # (n, m, k)
+        self.classes = classes
+        self.edges = edges  # directed (i, j): class i implies class j
+        self.reduced = reduced
+        self.groups = groups
 
 
 def _equiv(A, B):

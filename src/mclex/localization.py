@@ -10,11 +10,10 @@ other over star-free interpretations, which the pointed engine decides.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 from .closure import decide
 from .degeneracy import is_trivial
-from .matrix import STAR, ExtendedMatrix
+from .matrix import STAR, ExtendedMatrix, _Frozen
 
 
 def substitute_star(M, x):
@@ -30,9 +29,14 @@ def substitute_star(M, x):
     return ExtendedMatrix(M.n, M.m, M.k, rows)
 
 
-@dataclass(frozen=True)
-class AdmissibleWitness:
-    column: int  # 0-based left column index
+class AdmissibleWitness(_Frozen):
+    __slots__ = ("column",)  # 0-based left column index
+
+    def __init__(self, column):
+        object.__setattr__(self, "column", column)
+
+    def _values(self):
+        return (self.column,)
 
 
 def is_admissible(M, x):

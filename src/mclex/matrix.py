@@ -7,8 +7,6 @@ order is x1 < x2 < ... < xk < *, i.e. the star sorts last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 STAR = 0
 
 # Sort key assigned to * so that every variable index compares below it.
@@ -35,26 +33,97 @@ def entry_text(e):
     return "*" if e == STAR else str(e)
 
 
-@dataclass(frozen=True)
-class ExtendedMatrix:
+# the entry of every one-character token that names one
+_SHORT_TOKENS = {"*": STAR, **{str(v): v for v in range(1, 10)}}
+
+
+def _parse_entry(t):
+    if t == "*":
+        return STAR
+    if t.isascii() and t.isdigit():  # int() would also take '+1', '1_0' and ' 1'
+        v = int(t)
+        if v == 0:
+            raise ValueError("variable index 0 is invalid")
+        return v
+    raise ValueError(f"malformed token {t!r}")
+
+
+def parse_entries(tokens):
+    """The entries that text tokens name: ``*``, or ASCII digits with a value
+    of at least 1.  ValueError names the first token of another form."""
+    try:
+        return tuple(map(_SHORT_TOKENS.__getitem__, tokens))
+    except KeyError:
+        return tuple(map(_parse_entry, tokens))
+
+
+class _Frozen:
+    """Base of the immutable value types, which list their fields in
+    __slots__ and return them from _values in that order.
+
+    Instances compare and hash by their field tuple (only against their own
+    type), refuse assignment and deletion, and pickle and copy through the
+    constructor.  Plain classes keep ``dataclasses``, which loads
+    ``inspect``, off the import path.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {value!r} to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class ExtendedMatrix(_Frozen):
     """An n x (m+1) grid; the last column of each row is the right column."""
 
-    n: int
-    m: int
-    k: int
-    rows: tuple  # tuple of n tuples, each of length m+1
+    __slots__ = ("n", "m", "k", "rows")  # rows: n tuples, each of length m+1
 
-    def __post_init__(self):
-        if self.n < 1 or self.m < 0 or self.k < 0:
-            raise ValueError(f"bad dimensions n={self.n} m={self.m} k={self.k}")
-        if len(self.rows) != self.n:
+    def __init__(self, n, m, k, rows):
+        if n < 1 or m < 0 or k < 0:
+            raise ValueError(f"bad dimensions n={n} m={m} k={k}")
+        if len(rows) != n:
             raise ValueError("row count mismatch")
-        for row in self.rows:
-            if len(row) != self.m + 1:
+        for row in rows:
+            if len(row) != m + 1:
                 raise ValueError("ragged rows")
             for e in row:
-                if not (0 <= e <= self.k):
-                    raise ValueError(f"entry {e} outside variable budget k={self.k}")
+                if not (0 <= e <= k):
+                    raise ValueError(f"entry {e} outside variable budget k={k}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "rows", rows)
+
+    def _values(self):
+        return (self.n, self.m, self.k, self.rows)
+
+    # _Frozen's, without the _values call: the Hasse order hashes a matrix
+    # per pair it numbers (10,304 hashes for (3,3,2) and (4,3,1))
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.m, self.k, self.rows) == (other.n, other.m, other.k, other.rows)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.m, self.k, self.rows))
 
     @property
     def right_column(self):
@@ -133,24 +202,16 @@ def parse_matrix(text):
         col0 = 1
 
         def tok(piece, what):
-            entries = []
-            for t in piece.split():
-                if t == "*":
-                    entries.append(STAR)
-                elif t.isascii() and t.isdigit():
-                    v = int(t)
-                    if v == 0:
-                        raise MatrixParseError("variable index 0 is invalid", lineno, col0)
-                    entries.append(v)
-                else:
-                    raise MatrixParseError(f"malformed token {t!r} in {what}", lineno, col0)
-            return entries
+            try:
+                return parse_entries(piece.split())
+            except ValueError as err:
+                raise MatrixParseError(f"{err} in {what}", lineno, col0) from None
 
         left = tok(left_text, "left part")
         right = tok(right_text, "right column")
         if len(right) != 1:
             raise MatrixParseError("right column of a row must be a single entry", lineno, 1)
-        rows.append(tuple(left + right))
+        rows.append(left + right)
 
     widths = {len(r) for r in rows}
     if len(widths) != 1:

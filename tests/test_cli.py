@@ -153,6 +153,11 @@ def _with_matrix_text(data):
     return data
 
 
+def _with_signed_entry(data):
+    data["steps"][-1]["added"][0] = "+1"
+    return data
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -160,8 +165,9 @@ def _with_matrix_text(data):
         lambda data: [1, 2],
         lambda data: {**data, "steps": "abc"},
         _with_matrix_text,
+        _with_signed_entry,
     ],
-    ids=["empty-object", "list", "steps-string", "witness-matrix-string"],
+    ids=["empty-object", "list", "steps-string", "witness-matrix-string", "signed-entry"],
 )
 def test_check_tableau_malformed(capsys, tmp_path, mutate):
     target = tmp_path / "proof.json"

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import pickle
 import random
 
 import pytest
@@ -303,6 +305,53 @@ def test_tableau_json_round_trip(tmp_path):
     path = tmp_path / "proof.json"
     dump_tableau(proof, path)
     again = load_tableau(path)
-    assert again == proof
+    assert again == proof and again is not proof and hash(again) == hash(proof)
+    assert again.steps == proof.steps and hash(again.steps[-1]) == hash(proof.steps[-1])
+    assert pickle.loads(pickle.dumps(proof)) == proof == copy.copy(proof)
     with open(path) as fh:
         json.load(fh)  # well-formed JSON
+
+
+def test_tableau_records_are_immutable():
+    proof = _valid_proof()
+    for record, field in ((proof, "verdict"), (proof.steps[-1], "added")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert proof.verdict is True and proof.steps[-1] != proof.steps[0]
+    assert proof.steps[0] != ((STAR,) * 3, (), ())
+    assert repr(proof.steps[0]) == "TableauStep(added=(0, 0, 0), witnesses=(), consumed=())"
+
+
+# tokens that int() reads but matrix text refuses, and two it refuses too
+BAD_TOKENS = ["0", "-0", "+1", " 1", "\u0661", "1_0", "", "x1"]
+
+
+def _maltsev_proof_json():
+    data = tableau_to_json(decide([MALTSEV], [parse_matrix("1 * | 1 ; 1 1 | *")], record=True)[1][0])
+    assert data["steps"][-1]["added"] == ["1", "*"]
+    assert check_tableau(tableau_from_json(data))
+    return data
+
+
+@pytest.mark.parametrize("token", BAD_TOKENS)
+def test_tableau_json_refuses_bad_column_token(token):
+    data = _maltsev_proof_json()
+    data["steps"][-1]["added"][0] = token
+    with pytest.raises(ValueError, match="malformed tableau"):
+        tableau_from_json(data)
+
+
+@pytest.mark.parametrize("token", BAD_TOKENS)
+def test_tableau_json_refuses_bad_map_token(token):
+    data = _maltsev_proof_json()
+    data["steps"][-1]["witnesses"][0]["map"][0] = token
+    with pytest.raises(ValueError, match="malformed tableau"):
+        tableau_from_json(data)
+
+
+def test_tableau_json_reads_long_tokens():
+    data = _maltsev_proof_json()
+    data["steps"][-1]["added"][0] = "10"
+    assert tableau_from_json(data).steps[-1].added == (10, STAR)

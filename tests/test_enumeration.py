@@ -28,7 +28,9 @@ from mclex.degeneracy import DegeneracyClass, degeneracy_class, is_trivial
 from mclex.enumeration import (
     _EDGE_PROBES,
     CheckpointError,
+    ClassNode,
     Decider,
+    PosetGraph,
     _pair_signature,
     candidate_batches,
     compute_groups,
@@ -757,6 +759,17 @@ def test_poset_json_shape():
     assert all(isinstance(c["members"], int) for c in data["classes"])
     assert len(data["reducedEdges"]) == 6
     json.dumps(data)  # serializable
+
+
+def test_record_defaults():
+    node = ClassNode(0, MALTSEV, DegeneracyClass.PROPER)
+    assert (node.id, node.rep, node.kind, node.members, node.sig) == (
+        0, MALTSEV, DegeneracyClass.PROPER, 1, None,
+    )
+    graph = PosetGraph(params=(2, 3, 2), classes=[node])
+    assert (graph.params, graph.classes) == ((2, 3, 2), [node])
+    assert (graph.edges, graph.reduced, graph.groups) == (None, None, None)
+    assert poset_to_json(graph)["edges"] == [] and "->" not in poset_to_dot(graph)
 
 
 def test_poset_dot_shape():

@@ -123,9 +123,8 @@ def test_no_unread_private_names():
     assert unread_private_names(sources) == []
 
 
-def test_import_starts_no_process_machinery():
-    # nothing in the package spawns processes, so importing it must not
-    # pay for the multiprocessing modules
+def _modules_loaded_by_import():
+    """The modules a bare `import mclex` adds to a fresh interpreter."""
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -137,4 +136,18 @@ def test_import_starts_no_process_machinery():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
     assert "mclex" in out
+    return out
+
+
+def test_import_starts_no_process_machinery():
+    # nothing in the package spawns processes, so importing it must not
+    # pay for the multiprocessing modules
+    out = _modules_loaded_by_import()
     assert [m for m in out if m.split(".")[0] in ("multiprocessing", "concurrent")] == []
+
+
+def test_import_loads_no_dataclass_machinery():
+    # every command starts a fresh interpreter: dataclasses and the source
+    # introspection it loads cost about 8 ms of each start
+    out = _modules_loaded_by_import()
+    assert [m for m in out if m in ("dataclasses", "inspect", "ast", "dis", "tokenize")] == []

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -243,12 +245,46 @@ def test_maltsev_condition_nullary():
 
 
 def test_dimension_guards():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bad dimensions n=0 m=0 k=0"):
         ExtendedMatrix(0, 0, 0, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside variable budget k=0"):
         ExtendedMatrix(1, 1, 0, ((1, 0),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="row count mismatch"):
         ExtendedMatrix(2, 1, 1, ((1, 1),))
+    with pytest.raises(ValueError, match="ragged rows"):
+        ExtendedMatrix(2, 1, 1, ((1, 1), (1,)))
+    # the checks run in this order: dimensions, row count, widths, entries
+    with pytest.raises(ValueError, match="bad dimensions"):
+        ExtendedMatrix(1, -1, 0, ())
+    with pytest.raises(ValueError, match="row count mismatch"):
+        ExtendedMatrix(2, 1, 0, ((1,),))
+    with pytest.raises(ValueError, match="ragged rows"):
+        ExtendedMatrix(1, 1, 0, ((1,),))
+
+
+def test_matrix_is_a_value():
+    M = matrix([(1, 2, 1), (2, STAR, 2)])
+    same = ExtendedMatrix(2, 2, 2, ((1, 2, 1), (2, STAR, 2)))
+    assert M == same and hash(M) == hash(same) and M is not same
+    assert M != M.with_budget(3) and M.with_budget(3) == M.with_budget(3)
+    assert M != (M.n, M.m, M.k, M.rows) and (M.n, M.m, M.k, M.rows) != M
+    assert repr(M) == "ExtendedMatrix(n=2, m=2, k=2, rows=((1, 2, 1), (2, 0, 2)))"
+
+
+@pytest.mark.parametrize("field", ["n", "m", "k", "rows", "other"])
+def test_matrix_is_immutable(field):
+    M = matrix([(1, 2, 1), (2, STAR, 2)])
+    with pytest.raises(AttributeError):
+        setattr(M, field, 1)
+    with pytest.raises(AttributeError):
+        delattr(M, field)
+    assert M.rows == ((1, 2, 1), (2, STAR, 2))
+
+
+def test_matrix_copy_and_pickle():
+    M = parse_matrix("1 2 2 | 1 ; 2 2 1 | 1").with_budget(3)
+    for again in (copy.copy(M), copy.deepcopy(M), pickle.loads(pickle.dumps(M))):
+        assert again == M and type(again) is ExtendedMatrix and again.k == 3
 
 
 def test_matrix_of_no_rows_rejected():
