@@ -20,11 +20,11 @@ prefix test per row.  A partial tuple is dropped as soon as one of its
 partial left columns is no prefix of a column in the set, and a complete
 tuple whose right column is in the set is never visited.
 
-`closure_mask` walks the surviving tuples depth first in the order of the
-unpruned scan and reads the set as it grows, so it returns the same int as
-that scan, early stop included.  `closure_record` walks them level by level
-in batch rounds against the set at the start of each round, and logs a
-witness for every column it derives; tableaux are read off that log.
+Both closure kernels read one stream of the surviving tuples, `_tuples`, in
+the order of the unpruned scan, under two round policies.  `closure_mask`
+adds each right column as it arrives, so it returns the same int as that
+scan, early stop included.  `closure_record` adds a round's columns when it
+ends and logs a witness for each; tableaux are read off that log.
 
 The signature kernel `sharp_bits` is bit-sliced: instead of testing every
 derivation rule against one relation mask at a time, it turns the masks
@@ -91,64 +91,41 @@ def _packed(n, k, m, rows):
     return steps, tuple(tables[:m]), tuple(tables), w * m
 
 
-def _extend(level, step, tables, field, known, every):
-    """closure_record's stream of the tuples one row longer than those of
-    level that pass the tables, in order."""
+def _extend(level, step, tables, field, known, full):
+    """The tuples one row longer than those of level that pass the tables,
+    in itertools.product order.
+
+    The rows that extend a tuple acc, the AND of one row-table entry per
+    table, come in row order.  When full has grown since that mask was
+    computed, the rows after the last one yielded are computed again: the
+    set only grows, so rows that failed before may pass now, and narrowing
+    the old mask would drop them.
+    """
+    every = (1 << len(step)) - 1
     for acc in level:
         todo = every
-        for sh, table in tables:
-            todo &= table[known[(acc >> sh) & field]]
         while todo:
-            low = todo & -todo
-            todo ^= low
-            yield acc + step[low.bit_length() - 1]
-
-
-def _walk(scan, field, digits, full, stop, base, d=0, acc=0):
-    """closure_mask's depth-first walk below the partial tuple acc of d
-    rows of one hypothesis; True as soon as it adds stop.
-
-    The rows that extend acc, the AND of one row-table entry per left
-    column, are visited in row order, so complete tuples come in
-    itertools.product order (first coordinate outermost).  Each complete
-    tuple that survives adds its right column to full and to the digit
-    lists.  After a column is added below a row, the rows after it are
-    recomputed from all rows: the set only grows, so rows that failed
-    before may pass now, and narrowing the old mask would drop them.
-    """
-    steps, left, leaf, right = scan
-    step = steps[d]
-    known = digits[d]
-    every = (1 << len(step)) - 1
-    todo = every
-    if d == len(steps) - 1:
-        for sh, table in leaf:
-            todo &= table[known[(acc >> sh) & field]]
-        while todo:
-            low = todo & -todo
-            c = (acc + step[low.bit_length() - 1]) >> right
-            # the leaf table leaves out known right columns, so c is new
-            _add(digits, c, base)
-            full.add(c)
-            if c == stop:
-                return True
-            todo = every & -(low << 1)
-            for sh, table in leaf:
+            size = len(full)
+            for sh, table in tables:
                 todo &= table[known[(acc >> sh) & field]]
-        return False
-    for sh, table in left:
-        todo &= table[known[(acc >> sh) & field]]
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        size = len(full)
-        if _walk(scan, field, digits, full, stop, base, d + 1, acc + step[low.bit_length() - 1]):
-            return True
-        if len(full) != size:
-            todo = every & -(low << 1)
-            for sh, table in left:
-                todo &= table[known[(acc >> sh) & field]]
-    return False
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                yield acc + step[low.bit_length() - 1]
+                if len(full) != size:
+                    todo = every & -(low << 1)
+                    break
+
+
+def _tuples(scan, field, digits, full):
+    """The complete row tuples of one packed hypothesis that pass its row
+    tables, as packed sums: one _extend per depth, leaf at the last."""
+    steps, left, leaf, _right = scan
+    level = (0,)
+    for d, step in enumerate(steps):
+        tables = leaf if d == len(steps) - 1 else left
+        level = _extend(level, step, tables, field, digits[d], full)
+    return level
 
 
 def _start(n, k, mats, r0):
@@ -188,10 +165,10 @@ def closure_mask(n, k, mats, r0, stop=-1):
     the column code `stop` becomes derivable (unless stop < 0).
 
     Rounds scan the hypotheses in list order until a round adds nothing.  A
-    scan walks the n-tuples of rows in itertools.product order (first
-    coordinate outermost) and adds each tuple's right column once all its
-    left columns are in the set; a column added mid-scan counts for the
-    tuples after it.
+    scan reads the tuples of `_tuples` and adds each right column as it
+    arrives; the stream reads the grown set, so a column added mid-scan
+    counts for the tuples after it, as in the unpruned scan of every n-tuple
+    of rows in itertools.product order (first coordinate outermost).
 
     Prefix pruning: the first d rows of a tuple fix the low d digits of
     each column.  Row d may follow them only if its entry in every left
@@ -201,17 +178,26 @@ def closure_mask(n, k, mats, r0, stop=-1):
     prefix is added, and only a passing tuple below it could add one; so
     every pruned tuple is one the full scan would find failing.  A complete
     tuple whose right column is already in the set is left out too, since
-    it could add nothing.  The tuples that add a column are visited in the
+    it could add nothing.  The tuples that add a column come in the
     unpruned order, so the result, `stop` included, is the same.
     """
     if stop >= 0 and (r0 >> stop) & 1:
         return r0
     field, digits, full, scans = _start(n, k, mats, r0)
     size = None
-    while size != len(full):
+    while size != len(full) and stop not in full:
         size = len(full)
-        if any(_walk(scan, field, digits, full, stop, k + 1) for _mi, scan in scans):
-            break
+        for _mi, scan in scans:
+            right = scan[3]
+            for v in _tuples(scan, field, digits, full):
+                c = v >> right
+                # the leaf table leaves out known right columns, so c is new
+                _add(digits, c, k + 1)
+                full.add(c)
+                if c == stop:
+                    break
+            if stop in full:
+                break
     r = r0
     for c in full:
         r |= 1 << c
@@ -227,18 +213,14 @@ def closure_record(n, k, mats, r0, stop=-1):
     without rows included, and the consumed codes are the witness tuple's
     left columns.
 
-    Each round scans every hypothesis against the set as it was at the
-    start of the round: the digit lists that prune partial tuples and
-    leave out known right columns are read from that snapshot, and the
-    columns a round derives join the set only when the round ends.  The
-    rounds stop when one adds nothing, or when `stop` (unless < 0) is in
-    the set; the goal is checked only between rounds.  Since the set does
-    not change within a round, a scan extends the tuples level by level,
-    each level a stream built in order from the one before, so no level is
-    held; tuples come in itertools.product order, pruned as in
-    closure_mask.  Of the tuples deriving a new column in a round the log
-    keeps the first with the fewest consumed columns outside r0, counted as
-    distinct codes.
+    Each round reads the tuples of `_tuples` for every hypothesis against
+    the set as it was at the start of the round: the columns a round
+    derives join the set only when the round ends, so the stream never
+    computes a row mask again within a round.  The rounds stop when one
+    adds nothing, or when `stop` (unless < 0) is in the set; the goal is
+    checked only between rounds.  Of the tuples deriving a new column in a
+    round the log keeps the first with the fewest consumed columns outside
+    r0, counted as distinct codes.
     """
     field, digits, full, scans = _start(n, k, mats, r0)
     fresh = set()  # columns of the set that are not in r0
@@ -246,13 +228,9 @@ def closure_record(n, k, mats, r0, stop=-1):
     r = r0
     while stop not in full:
         size = len(log)
-        for mi, (steps, left, leaf, right) in scans:
-            every = (1 << len(steps[0])) - 1
-            level = (0,)
-            for d, (step, known) in enumerate(zip(steps, digits)):
-                tables = leaf if d == n - 1 else left
-                level = _extend(level, step, tables, field, known, every)
-            for v in level:
+        for mi, scan in scans:
+            _steps, left, _leaf, right = scan
+            for v in _tuples(scan, field, digits, full):
                 c = v >> right
                 consumed = tuple((v >> sh) & field for sh, _table in left)
                 cost = len(fresh.intersection(consumed))

@@ -80,12 +80,13 @@ def saturate(S, N, record=False, stop_at_goal=True):
 
     Returns (mask, log); the log (record=True only) maps each derived column
     code, in order of derivation, to (cost, hypothesis_index,
-    consumed_codes) of its witness.  Without record `_kernel.closure_mask`
-    answers; with record `_kernel.closure_record` runs the closure in batch
-    rounds (each round reads the column set as it was at its start) and
-    keeps, for each new column, the first witness that consumes the fewest
-    derived columns, so that a dependency-minimal certificate can be read
-    off the log.
+    consumed_codes) of its witness.  Both kernels read the same pruned
+    stream of row tuples and differ only in when a derived column joins the
+    set.  Without record `_kernel.closure_mask` adds each column at once;
+    with record `_kernel.closure_record` runs batch rounds (each round reads
+    the column set as it was at its start) and keeps, for each new column,
+    the first witness that consumes the fewest derived columns, so that a
+    dependency-minimal certificate can be read off the log.
     """
     n, k = N.n, N.k
     r0, goal = _goal_codes(N)
@@ -193,18 +194,13 @@ def decide(S, U, record=False):
     tableaux = []
     verdict = True
     for N in U:
-        goal = _goal_codes(N)[1]
+        mask, log = saturate(S, N, record=record)
+        ok = bool((mask >> _goal_codes(N)[1]) & 1)
         if record:
-            mask, log = saturate(S, N, record=True, stop_at_goal=True)
-            ok = bool((mask >> goal) & 1)
             tableaux.append(_build_proof(S, N, log, ok))
-        else:
-            mask, _ = saturate(S, N, record=False, stop_at_goal=True)
-            ok = bool((mask >> goal) & 1)
-        if not ok:
-            verdict = False
-            if not record:
-                return False, []
+        elif not ok:
+            return False, []
+        verdict = verdict and ok
     return verdict, tableaux
 
 

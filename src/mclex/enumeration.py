@@ -206,14 +206,13 @@ def signature(M, probes):
 
 
 class ClassNode:
-    __slots__ = ("id", "rep", "kind", "members", "sig")
+    __slots__ = ("id", "rep", "kind", "members")
 
-    def __init__(self, id, rep, kind, members=1, sig=None):
+    def __init__(self, id, rep, kind, members=1):
         self.id = id
         self.rep = rep
         self.kind = kind
         self.members = members
-        self.sig = sig
 
 
 class Group:
@@ -383,8 +382,7 @@ def classify(n, m, k, *, with_order=False, with_groups=False,
             if node.kind is DegeneracyClass.PROPER:
                 # signatures are recomputed rather than trusted: a stored
                 # value from a different build would silently split classes
-                node.sig = signature(node.rep, probes)
-                sig_buckets.setdefault(node.sig, []).append(node.id)
+                sig_buckets.setdefault(signature(node.rep, probes), []).append(node.id)
             else:
                 degenerate_ids[node.kind] = node.id
 
@@ -437,7 +435,7 @@ def classify(n, m, k, *, with_order=False, with_groups=False,
                         last_cid = cid
                         break
                 else:
-                    node = ClassNode(len(classes), M, DegeneracyClass.PROPER, sig=sig)
+                    node = ClassNode(len(classes), M, DegeneracyClass.PROPER)
                     classes.append(node)
                     bucket.append(node.id)
                     last_cid = node.id

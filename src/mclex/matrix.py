@@ -184,33 +184,46 @@ def parse_matrix(text):
                 raise MatrixParseError("non-integer header field", lineno, 1)
             header = tuple(int(p) for p in parts[1:])
             continue
+        col_offset = 0
         for chunk in line.split(";"):
             if chunk.strip():
-                body_rows.append((lineno, chunk))
+                body_rows.append((lineno, chunk, col_offset))
+            col_offset += len(chunk) + 1
     if not body_rows:
         raise MatrixParseError("empty matrix text", 1, 1)
 
     rows = []
-    for lineno, chunk in body_rows:
+    for lineno, chunk, col_offset in body_rows:
         if chunk.count("|") != 1:
+            # the first '|', or the row's first entry when it has none
+            at = chunk.find("|") if "|" in chunk else len(chunk) - len(chunk.lstrip())
             raise MatrixParseError(
                 "each row needs exactly one '|' before its right entry",
                 lineno,
-                chunk.find("|") + 1 if "|" in chunk else 1,
+                col_offset + at + 1,
             )
         left_text, right_text = chunk.split("|")
-        col0 = 1
 
-        def tok(piece, what):
+        def tok(piece, start, what):
             try:
                 return parse_entries(piece.split())
             except ValueError as err:
-                raise MatrixParseError(f"{err} in {what}", lineno, col0) from None
+                # the column of the first token that fails, as parse_entries met it
+                at = 0
+                for t in piece.split():
+                    at = piece.index(t, at)
+                    try:
+                        _parse_entry(t)
+                    except ValueError:
+                        break
+                    at += len(t)
+                raise MatrixParseError(f"{err} in {what}", lineno, start + at + 1) from None
 
-        left = tok(left_text, "left part")
-        right = tok(right_text, "right column")
+        bar = col_offset + len(left_text)  # 0-based column of the row's '|'
+        left = tok(left_text, col_offset, "left part")
+        right = tok(right_text, bar + 1, "right column")
         if len(right) != 1:
-            raise MatrixParseError("right column of a row must be a single entry", lineno, 1)
+            raise MatrixParseError("right column of a row must be a single entry", lineno, bar + 1)
         rows.append(left + right)
 
     widths = {len(r) for r in rows}

@@ -763,8 +763,8 @@ def test_poset_json_shape():
 
 def test_record_defaults():
     node = ClassNode(0, MALTSEV, DegeneracyClass.PROPER)
-    assert (node.id, node.rep, node.kind, node.members, node.sig) == (
-        0, MALTSEV, DegeneracyClass.PROPER, 1, None,
+    assert (node.id, node.rep, node.kind, node.members) == (
+        0, MALTSEV, DegeneracyClass.PROPER, 1,
     )
     graph = PosetGraph(params=(2, 3, 2), classes=[node])
     assert (graph.params, graph.classes) == ((2, 3, 2), [node])

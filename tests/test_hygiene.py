@@ -123,6 +123,48 @@ def test_no_unread_private_names():
     assert unread_private_names(sources) == []
 
 
+def write_only_fields(sources):
+    """(class, field) of each name in a class's __slots__ that no function
+    of the modules reads as an attribute, apart from functions that also
+    store it; fields match by name, whatever the object."""
+    slots = []
+    read = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                slots += [
+                    (node.name, c.value)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)
+                    for c in ast.walk(stmt.value)
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                ]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                attrs = [n for n in ast.walk(node) if isinstance(n, ast.Attribute)]
+                stored = {n.attr for n in attrs if isinstance(n.ctx, ast.Store)}
+                read |= {n.attr for n in attrs if isinstance(n.ctx, ast.Load)} - stored
+    return [(cls, name) for cls, name in slots if name not in read]
+
+
+def test_write_only_fields_detected():
+    sources = {
+        "a.py": (
+            "class A:\n    __slots__ = ('x', 'y', 'z')\n"
+            "    def __init__(self, x):\n        self.x = x\n        self.y = self.z = None\n"
+            "def f(a):\n    a.y = 1\n    return a.y\n"
+            "class B:\n    __slots__ = ()\n"
+        ),
+        "b.py": "def g(a):\n    return a.x\n",
+    }
+    assert write_only_fields(sources) == [("A", "y"), ("A", "z")]
+
+
+def test_no_write_only_fields():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert write_only_fields(sources) == []
+
+
 def _modules_loaded_by_import():
     """The modules a bare `import mclex` adds to a fresh interpreter."""
     script = (

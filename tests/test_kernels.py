@@ -96,6 +96,40 @@ def _hasse_cases():
     ]
 
 
+def test_tuples_are_the_filtered_product():
+    # against a fixed column set: col*(N), and col*(N) with random columns
+    # added, so that some tuples pass on every depth
+    rng = random.Random(7)
+    passed = 0
+    for n, k, mats, r0, _goal in _closure_cases(random.Random(2024))[::5]:
+        weights = [(k + 1) ** i for i in range(n)]
+        for r in (r0, r0 | rng.getrandbits((k + 1) ** n)):
+            field, digits, full, scans = _kernel._start(n, k, mats, r)
+            for mi, scan in scans:
+                leaf = scan[2]
+                got = [
+                    tuple((v >> sh) & field for sh, _table in leaf)
+                    for v in _kernel._tuples(scan, field, digits, full)
+                ]
+                m, rows = mats[mi]
+                every = [
+                    tuple(sum(combo[i][j] * weights[i] for i in range(n)) for j in range(m + 1))
+                    for combo in itertools.product(rows, repeat=n)
+                ]
+                expected = [
+                    codes for codes in every
+                    if all(c in full for c in codes[:-1]) and codes[-1] not in full
+                ]
+                assert got == expected, (n, k, mats[mi], r)
+                passed += len(got)
+    assert passed > 1000
+
+
+def test_both_round_policies_reach_the_least_fixpoint():
+    for n, k, mats, r0, _goal in _closure_cases(random.Random(2024)):
+        assert _kernel.closure_mask(n, k, mats, r0) == _kernel.closure_record(n, k, mats, r0)[0]
+
+
 def test_closure_mask_matches_reference():
     for n, k, mats, r0, goal in _closure_cases(random.Random(2024)):
         for stop in (-1, goal):

@@ -69,9 +69,18 @@ def test_parse_header_dimension_mismatch():
 
 
 def test_parse_errors_carry_position():
-    with pytest.raises(MatrixParseError) as exc:
-        parse_matrix("1 * | 1 ; 1 q | 1")
-    assert exc.value.line == 1
+    # (line, column) of the first bad token, counted from the start of its line
+    for text, where in (
+        ("1 * | 1 ; 1 q | 1", (1, 13)),  # a row after ';'
+        ("1 2 2 | 1\n2 2 xx | 1", (2, 5)),
+        ("1 2 | 0", (1, 7)),  # the right column
+        ("1 | 1 ; 1 1 | 1 | 1", (1, 13)),  # the first '|' of a row with two
+        ("1 | 1 ;  1 1 1", (1, 10)),  # no '|': the row's first entry
+        ("1 | 1 ; 1 | 1 2", (1, 11)),  # two right entries: the row's '|'
+    ):
+        with pytest.raises(MatrixParseError) as exc:
+            parse_matrix(text)
+        assert (exc.value.line, exc.value.column) == where, text
     with pytest.raises(MatrixParseError):
         parse_matrix("1 1 1")  # no right-column separator
     with pytest.raises(MatrixParseError):
