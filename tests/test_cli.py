@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -37,6 +38,17 @@ def test_decide_negative(capsys):
         "1 * | 1 ; 1 1 | *",
     )
     assert code == 1 and out.strip() == "no"
+
+
+def test_decide_sparse_variables_fast(capsys):
+    # instantiation maps only the variables a row uses: over all 30 it
+    # would try 2**30 maps, about half an hour
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "decide", "--lhs", "1 30 | 1", "--rhs", "1 * | 1 ; * 1 | 1"
+    )
+    assert code == 1 and out.strip() == "no"
+    assert time.perf_counter() - start < 10
 
 
 def test_decide_trivial_hypothesis_tableau_note(capsys, tmp_path):
@@ -354,7 +366,7 @@ def test_enumerate_checkpoint_corruption(capsys, tmp_path):
 
 
 def test_enumerate_checkpoint_missing_key(capsys, tmp_path):
-    state = {"version": __version__, "probes": [[2, 1], [3, 1], [2, 2]],
+    state = {"version": __version__, "probes": [[3, 1], [2, 2]],
              "params": [2, 3, 2], "classes": []}
     (tmp_path / "classify_2_3_2.json").write_text(json.dumps(state))
     code, _out, err = run(
@@ -363,8 +375,21 @@ def test_enumerate_checkpoint_missing_key(capsys, tmp_path):
     assert code == 2 and "error:" in err and "done_batches" in err
 
 
+def test_enumerate_checkpoint_outside_window(capsys, tmp_path):
+    # right stamp and params, but a 4 x 7 class that uses variable 9
+    state = {"version": __version__, "probes": [[3, 1], [2, 2]],
+             "params": [2, 3, 2], "done_batches": [[1, 0]],
+             "classes": [{"rows": [[9] * 8] * 4, "kind": "proper", "members": 1}]}
+    (tmp_path / "classify_2_3_2.json").write_text(json.dumps(state))
+    code, out, err = run(
+        capsys, "enumerate", "2", "3", "2", "--checkpoint", str(tmp_path)
+    )
+    assert code == 2 and "error:" in err and "outside the window" in err
+    assert out == ""
+
+
 def test_enumerate_checkpoint_other_version(capsys, tmp_path):
-    state = {"version": "0.0.1", "probes": [[2, 1], [3, 1], [2, 2]],
+    state = {"version": "0.0.1", "probes": [[3, 1], [2, 2]],
              "params": [2, 3, 2], "done_batches": [], "classes": []}
     (tmp_path / "classify_2_3_2.json").write_text(json.dumps(state))
     code, _out, err = run(

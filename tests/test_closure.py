@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import json
 import pickle
 import random
@@ -21,6 +22,8 @@ from conftest import (
 )
 from mclex import decide, decide_pair, matrix, parse_matrix, saturate
 from mclex.closure import (
+    _first_witnesses,
+    apply_map,
     check_tableau,
     col_star_mask,
     decode_column,
@@ -61,6 +64,36 @@ def test_instantiate_counts_before_dedup():
     # 2 rows x 3^2 pointed maps, deduplicated
     raw = [r for r in instantiate(MALTSEV, 2)]
     assert len(raw) <= 18 and len(raw) == len(set(raw))
+
+
+def reference_instances(rows, k_source, k_target):
+    """Each instance of the rows over 0..k_target mapped to its first
+    (row index, variable map), in order of first occurrence, over every
+    map of all k_source variables."""
+    first = {}
+    for ri, row in enumerate(rows):
+        for fmap in itertools.product(range(k_target + 1), repeat=k_source):
+            first.setdefault(apply_map(row, fmap), (ri, fmap))
+    return first
+
+
+def test_instantiate_maps_only_the_variables_a_row_uses():
+    from mclex import candidate_stream
+
+    rng = random.Random(49)
+    mats = [matrix(rows) for w in [(3, 3, 2), (2, 4, 2)] for rows in candidate_stream(*w)]
+    mats += list(all_matrices(2, 1, 2))
+    # rows that skip variables of a larger budget
+    mats += [
+        matrix([tuple(rng.choice((STAR, 1, 3, 5)) for _ in range(4)) for _ in range(3)], 5)
+        for _ in range(60)
+    ]
+    for M in mats:
+        for k_target in range(3):
+            want = reference_instances(M.rows, M.k, k_target)
+            assert instantiate(M, k_target) == tuple(want), M
+            got = _first_witnesses(M.rows, M.k, k_target)
+            assert list(got.items()) == list(want.items()), M
 
 
 # --- saturation --------------------------------------------------------------
@@ -290,6 +323,34 @@ def test_mutated_tableau_wrong_witness():
     data["steps"][-1]["witnesses"][0]["row"] = 99
     ok, bad = verify_tableau(tableau_from_json(data))
     assert not ok and bad == len(data["steps"]) - 1
+
+
+# _valid_proof's step 2 consumes the column that step 1 adds
+@pytest.mark.parametrize(
+    "mutate,step",
+    [
+        (lambda d: d["steps"][0].update(added=["1", "*", "*"]), 0),
+        (lambda d: d["steps"][1]["witnesses"].pop(), 1),
+        (lambda d: d["steps"][1]["witnesses"][0].update(matrix=1), 1),
+        (lambda d: [w.update(matrix=1) for w in d["steps"][1]["witnesses"]], 1),
+        (lambda d: d["steps"][1]["witnesses"][0]["map"].__setitem__(0, "2"), 1),
+        (lambda d: d["steps"].pop(1), 1),
+        (lambda d: d["steps"][2].update(added=["1", "1", "1"]), 2),
+    ],
+    ids=[
+        "first step not the star column",
+        "witness count not n",
+        "witnesses name two hypotheses",
+        "hypothesis index out of range",
+        "map value outside 0..k",
+        "consumed column not yet derived",
+        "right column not added",
+    ],
+)
+def test_verify_tableau_rejects(mutate, step):
+    data = tableau_to_json(_valid_proof())
+    mutate(data)
+    assert verify_tableau(tableau_from_json(data)) == (False, step)
 
 
 def test_mutated_tableau_lying_verdict():

@@ -32,6 +32,7 @@ from mclex.enumeration import (
     Decider,
     PosetGraph,
     _pair_signature,
+    _probe_masks,
     candidate_batches,
     compute_groups,
     probes_for,
@@ -153,16 +154,39 @@ def test_signature_separates_known_classes():
 def test_signatures_pinned():
     # sha256 over (rows, signature) of every class of (3,3,2) and (4,3,1)
     # over classify's own probes, taken before sharp_bits walked only sorted
-    # row tuples; equal signatures keep buckets, decides and checkpoints
+    # row tuples and while classify still probed (2, 1) and kept one int per
+    # probe; equal signatures keep buckets, decides and checkpoints
     digest, count = hashlib.sha256(), 0
     for n, m, k in [(3, 3, 2), (4, 3, 1)]:
         for node in classify(n, m, k).classes:
-            sig = signature(node.rep, probes_for(n, k))
+            sig = tuple(signature(node.rep, [p]) for p in [(2, 1)] + probes_for(n, k))
             digest.update(repr((node.rep.rows, sig)).encode())
             count += 1
     assert (count, digest.hexdigest()) == (
         90, "2b58d7bd807d9a4d0ef70b333938a066a0f1d8c84da0b4b30c861468d124e3ac"
     )
+
+
+def test_two_row_probe_reads_as_its_three_row_cylinders():
+    # a rule on three rows breaks the cylinder R x {*, x1} exactly when the
+    # rule of its first two rows breaks R, so the (3, 1) bit of R's cylinder
+    # is R's (2, 1) bit, and probes_for needs no (2, 1)
+    masks_2, masks_3 = _probe_masks(2, 1), _probe_masks(3, 1)
+    cylinders = [masks_3.index(R | R << 4) for R in masks_2]
+    reps = [M for w in [(3, 3, 2), (4, 3, 1), (3, 6, 1)] for M in _reps(w)]
+    mats = reps + [localize(M) for M in reps]
+    mats += [matrix(rows) for rows in candidate_stream(3, 3, 2)]
+    rng = random.Random(21)
+    for _ in range(300):
+        n, m, k = rng.randint(1, 4), rng.randint(0, 4), rng.randint(0, 3)
+        mats.append(matrix(
+            [tuple(rng.randrange(k + 1) for _ in range(m + 1)) for _ in range(n)], k
+        ))
+    for M in mats:
+        bits_2, bits_3 = signature(M, [(2, 1)]), signature(M, [(3, 1)])
+        assert [bits_2 >> i & 1 for i in range(len(masks_2))] == [
+            bits_3 >> c & 1 for c in cylinders
+        ], M
 
 
 # --- classification ----------------------------------------------------------
@@ -468,6 +492,54 @@ def test_transitive_reduction_chain():
     assert transitive_reduction(3, edges) == {(0, 1), (1, 2)}
 
 
+def reference_transitive_reduction(count, edges):
+    """Edge by edge: (i, j) stays unless a successor w of i other than i
+    and j has j among its successors."""
+    succ = [0] * count
+    for i, j in edges:
+        succ[i] |= 1 << j
+    reduced = set()
+    for i, j in edges:
+        ss = succ[i] & ~(1 << j) & ~(1 << i)
+        redundant = False
+        while ss:
+            w = (ss & -ss).bit_length() - 1
+            ss &= ss - 1
+            if (succ[w] >> j) & 1:
+                redundant = True
+                break
+        if not redundant:
+            reduced.add((i, j))
+    return reduced
+
+
+def _closed(count, edges):
+    reach = {(i, i) for i in range(count)} | set(edges)
+    for w, i, j in itertools.product(range(count), repeat=3):
+        if (i, w) in reach and (w, j) in reach:
+            reach.add((i, j))
+    return {(i, j) for i, j in reach if i != j}
+
+
+def test_transitive_reduction_by_rows_matches_edge_by_edge():
+    windows = [(2, 2, 2), (2, 3, 2), (3, 3, 2), (4, 3, 1), (3, 6, 1)]
+    cases = [(len(_reps(w)), _brute_edges(w)) for w in windows]
+    rng = random.Random(1972)
+    for _ in range(40):
+        count = rng.randint(1, 25)
+        order = rng.sample(range(count), count)
+        p = rng.random()
+        dag = {
+            (order[a], order[b])
+            for a in range(count) for b in range(a + 1, count) if rng.random() < p
+        }
+        cases += [(count, dag), (count, _closed(count, dag))]
+    for count, edges in cases:
+        assert transitive_reduction(count, edges) == reference_transitive_reduction(
+            count, edges
+        )
+
+
 def _reps(window):
     return tuple(c.rep for c in _classified(window).classes)
 
@@ -527,11 +599,14 @@ def test_packed_signatures_refute_as_the_probe_tuples():
     assert sum(is_trivial(M) for M in reps) == 2
     decider = Decider()
     ids = [decider._number(M) for M in reps]
+    # per probe, and nothing on either side for a trivial matrix
+    parts = [
+        () if is_trivial(M) else [signature(M, [p]) for p in _EDGE_PROBES] for M in reps
+    ]
     refuted = 0
-    for A, i in zip(reps, ids):
-        for B, j in zip(reps, ids):
-            sig_A, sig_B = _pair_signature(A), _pair_signature(B)
-            want = any(a & ~b for a, b in zip(sig_A, sig_B))
+    for A, parts_A, i in zip(reps, parts, ids):
+        for B, parts_B, j in zip(reps, parts, ids):
+            want = any(a & ~b for a, b in zip(parts_A, parts_B))
             assert bool(decider._sig[i] & ~decider._hi[j]) == want, (A, B)
             refuted += want
     assert 0 < refuted < len(reps) ** 2
@@ -563,13 +638,14 @@ def test_decide_is_a_preorder_refined_by_signatures(window):
             chains += len({a, b, c}) == 3
             assert implies[a, c], (mats[a], mats[b], mats[c])
     assert chains  # some triples do test transitivity
-    # inclusion holds for every probe; (3, 2), which no window takes, adds
-    # the one shape with three rows over two variables
-    probes = probes_for(4, 2) + [(3, 2)]
+    # inclusion holds for every probe; (2, 1) and (3, 2), which no window
+    # takes, add the shapes with two rows over one variable and three rows
+    # over two; the packed signature includes bit by bit, probe by probe
+    probes = [(2, 1)] + probes_for(4, 2) + [(3, 2)]
     sigs = [signature(M, probes) for M in mats]
     for (i, j), ok in implies.items():
         if ok:
-            assert all(a & ~b == 0 for a, b in zip(sigs[i], sigs[j])), (mats[i], mats[j])
+            assert sigs[i] & ~sigs[j] == 0, (mats[i], mats[j])
 
 
 @pytest.mark.parametrize("window", [(3, 3, 2), (4, 3, 1)], ids=str)
@@ -679,7 +755,7 @@ def test_checkpoint_not_utf8(tmp_path):
 
 _GOOD_CLASS = {"rows": [[1]], "kind": "trivial", "members": 1}
 # what a checkpoint of (2, 3, 2) written by this build is stamped with
-_STAMP = {"version": mclex.__version__, "probes": [[2, 1], [3, 1], [2, 2]]}
+_STAMP = {"version": mclex.__version__, "probes": [[3, 1], [2, 2]]}
 
 
 @pytest.mark.parametrize(
@@ -705,6 +781,28 @@ _STAMP = {"version": mclex.__version__, "probes": [[2, 1], [3, 1], [2, 2]]}
          "classes": [dict(_GOOD_CLASS, members="1")]},
         {**_STAMP, "params": [2, 3, 2], "done_batches": [],
          "classes": [{"rows": [[1]], "kind": "trivial"}]},
+        # well formed, but no state _save_checkpoint writes: a class with
+        # more rows, columns or variables than the window's caps allow
+        # (the last a 4 x 7 class that uses variable 9)
+        {**_STAMP, "params": [2, 3, 2], "done_batches": [[1, 0]],
+         "classes": [dict(_GOOD_CLASS, rows=[[1], [1], [1]])]},
+        {**_STAMP, "params": [2, 3, 2], "done_batches": [[1, 0]],
+         "classes": [dict(_GOOD_CLASS, rows=[[1, 1, 1, 1, 1]])]},
+        {**_STAMP, "params": [2, 3, 2], "done_batches": [[1, 0]],
+         "classes": [dict(_GOOD_CLASS, rows=[[3]])]},
+        {**_STAMP, "params": [2, 3, 2], "done_batches": [[1, 0]],
+         "classes": [dict(_GOOD_CLASS, rows=[[9] * 8] * 4)]},
+        # a kind other than the rows' own
+        {**_STAMP, "params": [2, 3, 2], "done_batches": [[1, 0]],
+         "classes": [dict(_GOOD_CLASS, kind="proper")]},
+        # a class of a batch that is not done
+        {**_STAMP, "params": [2, 3, 2], "done_batches": [],
+         "classes": [_GOOD_CLASS]},
+        # done batches that are not the first of the batch order
+        {**_STAMP, "params": [2, 3, 2], "done_batches": [[1, 1]], "classes": []},
+        {**_STAMP, "params": [2, 3, 2], "done_batches": [[1, 0], [1, 2]], "classes": []},
+        {**_STAMP, "params": [2, 3, 2], "done_batches": [[1, 1], [1, 0]], "classes": []},
+        {**_STAMP, "params": [2, 3, 2], "done_batches": [[1, 0], [1, 0]], "classes": []},
     ],
 )
 def test_checkpoint_malformed_state(tmp_path, state):
@@ -740,12 +838,14 @@ def test_checkpoint_other_build_refused(tmp_path, change):
 
 
 def test_checkpoint_of_the_old_probes_refused(tmp_path):
-    # (3, 3, 2) checkpoints were once stamped with a (3, 2) probe as well
-    state = {"version": mclex.__version__, "probes": [[2, 1], [3, 1], [2, 2], [3, 2]],
-             "params": [3, 3, 2], "done_batches": [], "classes": []}
-    (tmp_path / "classify_3_3_2.json").write_text(json.dumps(state))
-    with pytest.raises(CheckpointError, match="another build"):
-        classify(3, 3, 2, checkpoint_dir=str(tmp_path))
+    # (3, 3, 2) checkpoints were once stamped with a (2, 1) probe, and before
+    # that with a (3, 2) probe as well
+    for probes in [[[2, 1], [3, 1], [2, 2], [3, 2]], [[2, 1], [3, 1], [2, 2]]]:
+        state = {"version": mclex.__version__, "probes": probes,
+                 "params": [3, 3, 2], "done_batches": [], "classes": []}
+        (tmp_path / "classify_3_3_2.json").write_text(json.dumps(state))
+        with pytest.raises(CheckpointError, match="another build"):
+            classify(3, 3, 2, checkpoint_dir=str(tmp_path))
 
 
 # --- export ------------------------------------------------------------------

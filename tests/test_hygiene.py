@@ -165,6 +165,65 @@ def test_no_write_only_fields():
     assert write_only_fields(sources) == []
 
 
+def unbounded_caches(source):
+    """(line, name), in line order, of each functools cache without a
+    finite maxsize of its own: `cache`, `lru_cache` used bare or called with no maxsize (an
+    unstated 128), and `lru_cache(maxsize=None)`."""
+    tree = ast.parse(source)
+    aliases = {
+        a.asname or a.name: a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for a in node.names
+    }
+
+    def name(node):
+        if isinstance(node, ast.Name):
+            return aliases.get(node.id)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools":
+            return node.attr
+        return None
+
+    called = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and name(node.func) == "lru_cache":
+            sizes = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "maxsize"]
+            called[id(node.func)] = sizes and not (
+                isinstance(sizes[0], ast.Constant) and sizes[0].value is None
+            )
+    return sorted(
+        (node.lineno, name(node))
+        for node in ast.walk(tree)
+        if name(node) in ("cache", "lru_cache") and isinstance(node.ctx, ast.Load)
+        and not called.get(id(node))
+    )
+
+
+def test_unbounded_caches_detected():
+    source = (
+        "import functools\nfrom functools import lru_cache, cache as memo\n"
+        "@lru_cache(maxsize=1 << 4)\ndef a(): pass\n"
+        "@functools.lru_cache(8)\ndef b(): pass\n"
+        "@lru_cache\ndef c(): pass\n"
+        "@lru_cache()\ndef d(): pass\n"
+        "@functools.lru_cache(maxsize=None)\ndef e(): pass\n"
+        "@memo\ndef f(): pass\n"
+        "g = functools.cache(len)\n"
+        "cache = {}\nh = lru_cache(None)(len)\n"
+    )
+    assert unbounded_caches(source) == [
+        (7, "lru_cache"), (9, "lru_cache"), (11, "lru_cache"), (13, "cache"),
+        (15, "cache"), (17, "lru_cache"),
+    ]
+
+
+def test_caches_are_bounded():
+    # each cache's comment argues for its bound, and a cache without one
+    # grows with every matrix a long enumeration meets
+    found = {p.name: unbounded_caches(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {module: caches for module, caches in found.items() if caches} == {}
+
+
 def _modules_loaded_by_import():
     """The modules a bare `import mclex` adds to a fresh interpreter."""
     script = (

@@ -256,11 +256,11 @@ def reference_sharp_bits(n, k, m, rows, rel_masks):
 
 def _probe_shapes():
     # every probe of the windows up to n=4, k=3, which include the
-    # probes_for(n, 1) that localized matrices are signed over, and (3, 2),
-    # which no window takes but which is the only shape with three rows over
-    # two variables
+    # probes_for(n, 1) that localized matrices are signed over, and two
+    # shapes no window takes: (2, 1), the only one with n = 2 and k = 1, and
+    # (3, 2), the only one with three rows over two variables
     shapes = {p for n in range(1, 5) for k in range(1, 4) for p in probes_for(n, k)}
-    return sorted(shapes | {(3, 2)})
+    return sorted(shapes | {(2, 1), (3, 2)})
 
 
 def _digit_permutations(c, n, base):
