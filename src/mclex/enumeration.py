@@ -184,12 +184,23 @@ def probes_for(n, k):
     #   19,600 decides instead of 18,048.
     # - (4, 1) stays: without it (4,6,1) took 11.3 s instead of 4.9 s, with
     #   42,473 decides instead of 12,526.
+    # - (3, 1) comes first: its block alone gates classify's decide against
+    #   the last class placed, so the first probe stays the cheapest one.
     probes = [(3, 1)]
     if k >= 2:
         probes.append((2, 2))
     if n >= 4:
         probes.append((4, 1))
     return probes
+
+
+# bounded: classify and canonical take a candidate's first block to gate a
+# decide and, when it passes, the whole signature right after
+@lru_cache(maxsize=16)
+def _probe_bits(M, probe):
+    """M's block of `signature` for one probe."""
+    n_p, k_p = probe
+    return _kernel.sharp_bits(n_p, k_p, M.m, instantiate(M, k_p), _probe_masks(n_p, k_p))
 
 
 def signature(M, probes):
@@ -201,18 +212,16 @@ def signature(M, probes):
     under A's rules.  Instantiated along any row map of B, each step of that
     derivation keeps a relation that is stable under A's rules closed, so
     the relation is stable under B's rules too: sig(A) & ~sig(B) == 0, and
-    non-trivial matrices that imply each other have equal signatures.  A
-    trivial matrix implies everything without a derivation, so its
-    signature says nothing about its class (see `Decider`).  Localization
-    keeps triviality: the prepended all-x column plays the part of the star
-    node of `_trivial_rows`.  So proper matrices whose localizations have
-    different signatures are not localization-equal.
+    non-trivial matrices that imply each other have equal signatures, block
+    by block.  A trivial matrix implies everything without a derivation, so
+    its signature says nothing about its class (see `Decider`).
+    Localization keeps triviality: the prepended all-x column plays the part
+    of the star node of `_trivial_rows`.  So proper matrices whose
+    localizations have different signatures are not localization-equal.
     """
     sig = 0
-    for n_p, k_p in probes:
-        masks = _probe_masks(n_p, k_p)
-        bits = _kernel.sharp_bits(n_p, k_p, M.m, instantiate(M, k_p), masks)
-        sig = sig << len(masks) | bits
+    for probe in probes:
+        sig = sig << len(_probe_masks(*probe)) | _probe_bits(M, probe)
     return sig
 
 
@@ -350,9 +359,12 @@ def classify(n, m, k, *, with_order=False, with_groups=False,
     """
     _check_window(n, m, k)
     probes = probes_for(n, k)
+    # the first probe's block is the highest of a signature
+    rest = sum(len(_probe_masks(*p)) for p in probes[1:])
 
     classes = []
     sig_buckets = {}
+    blocks = {}  # proper class id -> its first probe block
     degenerate_ids = {}
     done = set()
 
@@ -370,7 +382,9 @@ def classify(n, m, k, *, with_order=False, with_groups=False,
             if node.kind is DegeneracyClass.PROPER:
                 # signatures are recomputed rather than trusted: a stored
                 # value from a different build would silently split classes
-                sig_buckets.setdefault(signature(node.rep, probes), []).append(node.id)
+                sig = signature(node.rep, probes)
+                sig_buckets.setdefault(sig, []).append(node.id)
+                blocks[node.id] = sig >> rest
             else:
                 degenerate_ids[node.kind] = node.id
 
@@ -408,9 +422,11 @@ def classify(n, m, k, *, with_order=False, with_groups=False,
                 last_cid = cid
                 continue
             M = matrix(rows)
-            # consecutive candidates often share a class; checking that first
-            # skips the signature computation
-            if last_cid is not None and _equiv(M, classes[last_cid].rep):
+            # consecutive candidates often share a class, so the last class
+            # placed is decided first, when its first probe block (a class
+            # invariant) is the candidate's; the signature reuses that block
+            if (last_cid is not None and _probe_bits(M, probes[0]) == blocks[last_cid]
+                    and _equiv(M, classes[last_cid].rep)):
                 classes[last_cid].members += 1
             else:
                 sig = signature(M, probes)
@@ -426,6 +442,7 @@ def classify(n, m, k, *, with_order=False, with_groups=False,
                     node = ClassNode(len(classes), M, DegeneracyClass.PROPER)
                     classes.append(node)
                     bucket.append(node.id)
+                    blocks[node.id] = sig >> rest
                     last_cid = node.id
             by_normal_form[form] = last_cid
         done.add(shape)
@@ -563,9 +580,11 @@ def canonical(M, window=None):
         return matrix([(STAR,)])
     probes = probes_for(n, k)
     sig_M = signature(M, probes)
+    block_M = _probe_bits(M, probes[0])
     # candidates with one normal form share a class, so a candidate with
     # M's form is equivalent to M, and one with the form of a candidate
-    # found not equivalent is not
+    # found not equivalent is not; the others take their other probes only
+    # when their first probe block is M's
     form_M = _normalize_rows(M.rows)
     forms_not_M = set()
     for rows in candidate_stream(n, m, k):
@@ -577,7 +596,8 @@ def canonical(M, window=None):
         if form in forms_not_M:
             continue
         C = matrix(rows)
-        if signature(C, probes) == sig_M and _equiv(C, M):
+        if (_probe_bits(C, probes[0]) == block_M and signature(C, probes) == sig_M
+                and _equiv(C, M)):
             return C
         forms_not_M.add(form)
     raise ValueError("no window candidate is equivalent to the matrix")
@@ -641,6 +661,7 @@ def _checkpoint_problem(state, n, m, k):
     if not isinstance(classes, list):
         return "classes"
     m_eff, k_eff = window_caps(n, m, k)
+    listed, kinds = set(), set()
     for i, rec in enumerate(classes):
         if not isinstance(rec, dict):
             return f"classes[{i}]"
@@ -656,10 +677,20 @@ def _checkpoint_problem(state, n, m, k):
             return f"classes[{i}].members"
         if len(rows) > n or len(rows[0]) > m_eff + 1 or max(map(max, rows)) > k_eff:
             return f"classes[{i}].rows lie outside the window"
-        if kind_of_rows(tuple(map(tuple, rows))).value != rec.get("kind"):
+        rows = tuple(map(tuple, rows))
+        kind = kind_of_rows(rows)
+        if kind.value != rec.get("kind"):
             return f"classes[{i}].kind is not the kind of its rows"
-        if [len(rows), len(rows[0]) - 1] not in done:
-            return f"classes[{i}] lies in no done batch"
+        if rows in listed or kind in kinds:
+            return f"classes[{i}] repeats a class listed before it"
+        listed.add(rows)
+        if kind is not DegeneracyClass.PROPER:
+            kinds.add(kind)
+    # each class is a candidate of its batch, which is done
+    for _shape, batch in itertools.islice(candidate_batches(n, m, k), len(done)):
+        listed.difference_update(batch)
+    if listed:
+        return "classes that no done batch generates"
     return None
 
 

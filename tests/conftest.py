@@ -1,16 +1,26 @@
-"""Shared matrices and the slow-test gate used across the test suite."""
+"""Shared matrices, classified windows and the slow-test gate used across
+the test suite."""
 
+import functools
 import os
 
 import pytest
 
-from mclex import matrix, parse_matrix
+from mclex import classify, matrix, parse_matrix
 
 # Run the heavy enumeration tests only when MCLEX_SLOW=1 is set.
 slow = pytest.mark.skipif(
     os.environ.get("MCLEX_SLOW") != "1",
     reason="set MCLEX_SLOW=1 to run the heavy enumeration tests",
 )
+
+
+@functools.lru_cache(maxsize=None)
+def classified(window):
+    """classify(*window), taken once per session: the acceptance sizes and
+    the enumeration tests read the same windows."""
+    return classify(*window)
+
 
 TRIVIAL = parse_matrix("| 1")
 ANTI_TRIVIAL = parse_matrix("| *")

@@ -14,6 +14,7 @@ from conftest import (
     SU3,
     SUBTRACTION,
     UNITAL,
+    classified,
     slow,
 )
 from mclex import classify, decide, decide_pair, matrix, saturate
@@ -26,7 +27,7 @@ from mclex.matrix import STAR
 
 
 def _count(n, m, k):
-    return len(classify(n, m, k).classes)
+    return len(classified((n, m, k)).classes)
 
 
 def _subposet_count(graph, anchor):

@@ -408,6 +408,20 @@ def test_enumerate_checkpoint_other_probes(capsys, tmp_path):
     assert code == 2 and "written by another build" in err
 
 
+def test_enumerate_checkpoint_repeated_class(capsys, tmp_path):
+    # the four one-row batches of (2, 3, 2) done, with `| *` listed twice
+    star = {"rows": [[0]], "kind": "anti-trivial", "members": 5}
+    state = {"version": __version__, "probes": [[3, 1], [2, 2]],
+             "params": [2, 3, 2], "done_batches": [[1, 0], [1, 1], [1, 2], [1, 3]],
+             "classes": [star, {"rows": [[1]], "kind": "trivial", "members": 2}, star]}
+    (tmp_path / "classify_2_3_2.json").write_text(json.dumps(state))
+    code, out, err = run(
+        capsys, "enumerate", "2", "3", "2", "--checkpoint", str(tmp_path)
+    )
+    assert code == 2 and "error:" in err and "repeats a class" in err
+    assert out == ""
+
+
 # --- error handling ----------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import itertools
@@ -7,11 +8,12 @@ import sys
 
 import pytest
 
-from conftest import MALTSEV, SU2, SU2_CANON, SU3, TRIVIAL
+from conftest import MALTSEV, SU2, SU2_CANON, SU3, TRIVIAL, classified as _classified
 
 import mclex
 from mclex import (
     ANCHORS,
+    _kernel,
     canonical,
     candidate_stream,
     classify,
@@ -32,6 +34,7 @@ from mclex.enumeration import (
     Decider,
     PosetGraph,
     _pair_signature,
+    _probe_bits,
     _probe_masks,
     candidate_batches,
     compute_groups,
@@ -261,11 +264,6 @@ def test_groups_of_figure_one():
     assert len(mal.class_ids) == 4
 
 
-@functools.lru_cache(maxsize=None)
-def _classified(window):
-    return classify(*window)
-
-
 def _check_group_labels(window, count):
     # each proper group is named after the first anchor whose localization
     # equals that of the group's first class, else after that localization
@@ -484,6 +482,29 @@ def test_canonical_computes_few_signatures(monkeypatch):
     assert len(calls) <= 200
 
 
+def _probe_calls(monkeypatch):
+    """A counter of `_kernel.sharp_bits` calls per probe from now on."""
+    calls = collections.Counter()
+    sharp_bits = _kernel.sharp_bits
+
+    def counting(n_p, k_p, *args):
+        calls[n_p, k_p] += 1
+        return sharp_bits(n_p, k_p, *args)
+
+    monkeypatch.setattr(_kernel, "sharp_bits", counting)
+    _probe_bits.cache_clear()
+    return calls
+
+
+def test_canonical_takes_other_probes_on_equal_first_blocks(monkeypatch):
+    # a candidate whose (3, 1) block differs from M's needs no (2, 2) block:
+    # the last class of (3,3,2) takes 3 instead of 175
+    last = _reps((3, 3, 2))[-1]
+    calls = _probe_calls(monkeypatch)
+    assert canonical(last, (3, 3, 2)) == last
+    assert calls[2, 2] <= 10
+
+
 # --- order utilities ---------------------------------------------------------
 
 
@@ -690,6 +711,54 @@ def test_classify_computes_few_signatures(window, monkeypatch):
 
 
 @pytest.mark.parametrize("window", [(3, 3, 2), (4, 3, 1)], ids=str)
+def test_classify_gates_the_last_class_on_the_first_block(window, monkeypatch):
+    # the last class placed is decided only against candidates with its
+    # first probe block: 385 and 318 decides instead of 544 and 474, for
+    # 186 and 153 (3, 1) blocks instead of 128; the other probes stay at 128
+    decides, first_blocks = {(3, 3, 2): (400, 200), (4, 3, 1): (330, 170)}[window]
+    decided, pairs = [], []
+    equiv = mclex.enumeration._equiv
+
+    def counting(*args):
+        decided.append(1)
+        return decide(*args)
+
+    def recording(A, B):
+        pairs.append((A, B))
+        return equiv(A, B)
+
+    monkeypatch.setattr(mclex.enumeration, "decide", counting)
+    monkeypatch.setattr(mclex.enumeration, "_equiv", recording)
+    blocks = _probe_calls(monkeypatch)
+    classify(*window)
+    first, *others = probes_for(window[0], window[2])
+    assert len(decided) <= decides
+    assert blocks[first] <= first_blocks
+    assert set(blocks) == {first, *others}
+    assert all(blocks[p] <= 140 for p in others)
+    block = {M: signature(M, [first]) for pair in pairs for M in pair}
+    assert pairs and all(block[A] == block[B] for A, B in pairs)
+
+
+# sha256 over (text, kind, members) of each class, taken before classify
+# gated its last-class decide on the first probe block
+_CLASS_LIST_DIGESTS = {
+    (3, 4, 2): "7d34846ebd4c58b126dcbb024ea56cc8581fe4b1ae473d4efae5d370d540de8f",
+    (4, 4, 1): "0803d7cb2fca7d04b06d349a413a2f3b7c45dae4eb0ce611d28c092481cee252",
+    (4, 5, 1): "2df4ccd43f69a82646d8010455a65c87a4dc87204a765c33aae31264f13e2afb",
+    (3, 6, 1): "eb1d4231ed094e60abc26037c42014804e4ebb6212b0c9f511170f259ca854a2",
+}
+
+
+@pytest.mark.parametrize("window", list(_CLASS_LIST_DIGESTS), ids=str)
+def test_class_lists_pinned(window):
+    digest = hashlib.sha256()
+    for c in _classified(window).classes:
+        digest.update(repr((c.rep.text(), c.kind.value, c.members)).encode())
+    assert digest.hexdigest() == _CLASS_LIST_DIGESTS[window]
+
+
+@pytest.mark.parametrize("window", [(3, 3, 2), (4, 3, 1)], ids=str)
 def test_normal_forms_keep_the_candidate_shape(window):
     # so classify keeps its normal-form memo for one batch only
     for rows in candidate_stream(*window):
@@ -846,6 +915,51 @@ def test_checkpoint_of_the_old_probes_refused(tmp_path):
         (tmp_path / "classify_3_3_2.json").write_text(json.dumps(state))
         with pytest.raises(CheckpointError, match="another build"):
             classify(3, 3, 2, checkpoint_dir=str(tmp_path))
+
+
+# what _save_checkpoint writes for (2, 3, 2) once its four one-row batches
+# are done
+_FOUR_BATCHES = {
+    **_STAMP, "params": [2, 3, 2], "done_batches": [[1, 0], [1, 1], [1, 2], [1, 3]],
+    "classes": [{"rows": [[0]], "kind": "anti-trivial", "members": 5},
+                {"rows": [[1]], "kind": "trivial", "members": 2}],
+}
+
+
+def test_checkpoint_of_four_batches_resumes(tmp_path):
+    (tmp_path / "classify_2_3_2.json").write_text(json.dumps(_FOUR_BATCHES))
+    resumed = classify(2, 3, 2, checkpoint_dir=str(tmp_path))
+    assert [(c.rep, c.kind, c.members) for c in resumed.classes] == [
+        (c.rep, c.kind, c.members) for c in classify(2, 3, 2).classes
+    ]
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        # `| *` listed twice, which resumed to a seventh class
+        {"rows": [[0]], "kind": "anti-trivial", "members": 5},
+        # `1 | 1`, a candidate of batch (1, 1), as a second anti-trivial class
+        {"rows": [[1, 1]], "kind": "anti-trivial", "members": 1},
+    ],
+)
+def test_checkpoint_repeated_class_refused(tmp_path, extra):
+    state = dict(_FOUR_BATCHES, classes=_FOUR_BATCHES["classes"] + [extra])
+    (tmp_path / "classify_2_3_2.json").write_text(json.dumps(state))
+    with pytest.raises(CheckpointError, match="repeats a class"):
+        classify(2, 3, 2, checkpoint_dir=str(tmp_path))
+
+
+def test_checkpoint_foreign_class_refused(tmp_path):
+    # SU2 in place of SU2_CANON: same class and batch, but no candidate
+    classify(2, 3, 2, checkpoint_dir=str(tmp_path))
+    path = tmp_path / "classify_2_3_2.json"
+    state = json.loads(path.read_text())
+    (rec,) = [c for c in state["classes"] if c["rows"] == [list(r) for r in SU2_CANON.rows]]
+    rec["rows"] = [list(r) for r in SU2.rows]
+    path.write_text(json.dumps(state))
+    with pytest.raises(CheckpointError, match="no done batch generates"):
+        classify(2, 3, 2, checkpoint_dir=str(tmp_path))
 
 
 # --- export ------------------------------------------------------------------
