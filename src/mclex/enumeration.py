@@ -133,13 +133,15 @@ def candidate_batches(n, m, k):
     m_eff, k_eff = window_caps(n, m, k)
     for n_ in range(1, n + 1):
         for m_ in range(0, m_eff + 1):
-            yield (n_, m_), (
-                rows
-                for v in range(k_eff + 1)
-                # a variable right entry needs v >= 1
-                for a in range(n_ if v else 0, -1, -1)
-                for rows in _gen_shape(n_, a, m_, v)
-            )
+            yield (n_, m_), _batch(n_, m_, k_eff)
+
+
+def _batch(n_, m_, k_eff):
+    # a function, so each batch binds its own shape however late it streams
+    for v in range(k_eff + 1):
+        # a variable right entry needs v >= 1
+        for a in range(n_ if v else 0, -1, -1):
+            yield from _gen_shape(n_, a, m_, v)
 
 
 def candidate_stream(n, m, k):
@@ -366,32 +368,27 @@ def classify(n, m, k, *, with_order=False, with_groups=False,
     sig_buckets = {}
     blocks = {}  # proper class id -> its first probe block
     degenerate_ids = {}
-    done = set()
 
-    state = _load_checkpoint(checkpoint_dir, n, m, k)
-    if state is not None:
-        done = {tuple(s) for s in state["done_batches"]}
-        for rec in state["classes"]:
-            node = ClassNode(
-                id=len(classes),
-                rep=matrix([tuple(r) for r in rec["rows"]]),
-                kind=DegeneracyClass(rec["kind"]),
-                members=rec["members"],
-            )
-            classes.append(node)
-            if node.kind is DegeneracyClass.PROPER:
-                # signatures are recomputed rather than trusted: a stored
-                # value from a different build would silently split classes
-                sig = signature(node.rep, probes)
-                sig_buckets.setdefault(sig, []).append(node.id)
-                blocks[node.id] = sig >> rest
-            else:
-                degenerate_ids[node.kind] = node.id
+    def add_class(M, kind, members=1, sig=None):
+        # every class is created here; a resumed one is signed by this build,
+        # since a stored signature from another build would split classes
+        cid = len(classes)
+        classes.append(ClassNode(cid, M, kind, members))
+        if kind is DegeneracyClass.PROPER:
+            if sig is None:
+                sig = signature(M, probes)
+            sig_buckets.setdefault(sig, []).append(cid)
+            blocks[cid] = sig >> rest
+        else:
+            degenerate_ids[kind] = cid
+        return cid
+
+    done, resumed = _load_checkpoint(checkpoint_dir, n, m, k)
+    for rows, kind, members in resumed:
+        add_class(matrix(rows), kind, members)
 
     last_cid = None
-    for shape, batch in candidate_batches(n, m, k):
-        if shape in done:
-            continue
+    for shape, batch in itertools.islice(candidate_batches(n, m, k), len(done), None):
         # A candidate's rows are distinct and named by first occurrence, and
         # its left columns distinct and not all stars, so its normal form
         # has the candidate's shape.  A form never recurs in a later batch,
@@ -405,9 +402,7 @@ def classify(n, m, k, *, with_order=False, with_groups=False,
             if kind is not DegeneracyClass.PROPER:
                 cid = degenerate_ids.get(kind)
                 if cid is None:
-                    node = ClassNode(len(classes), matrix(rows), kind)
-                    degenerate_ids[kind] = node.id
-                    classes.append(node)
+                    add_class(matrix(rows), kind)
                 else:
                     classes[cid].members += 1
                 continue
@@ -430,8 +425,7 @@ def classify(n, m, k, *, with_order=False, with_groups=False,
                 classes[last_cid].members += 1
             else:
                 sig = signature(M, probes)
-                bucket = sig_buckets.setdefault(sig, [])
-                for cid in reversed(bucket):
+                for cid in reversed(sig_buckets.get(sig, ())):
                     if cid == last_cid:
                         continue
                     if _equiv(M, classes[cid].rep):
@@ -439,13 +433,9 @@ def classify(n, m, k, *, with_order=False, with_groups=False,
                         last_cid = cid
                         break
                 else:
-                    node = ClassNode(len(classes), M, DegeneracyClass.PROPER)
-                    classes.append(node)
-                    bucket.append(node.id)
-                    blocks[node.id] = sig >> rest
-                    last_cid = node.id
+                    last_cid = add_class(M, DegeneracyClass.PROPER, sig=sig)
             by_normal_form[form] = last_cid
-        done.add(shape)
+        done.append(shape)
         if progress:
             progress(shape, len(classes))
         _save_checkpoint(checkpoint_dir, n, m, k, done, classes)
@@ -610,88 +600,88 @@ def _ckpt_path(directory, n, m, k):
     return os.path.join(directory, f"classify_{n}_{m}_{k}.json")
 
 
-def _load_checkpoint(directory, n, m, k):
-    if not directory:
-        return None
-    path = _ckpt_path(directory, n, m, k)
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path) as fh:
-            state = json.load(fh)
-    except ValueError as exc:  # malformed JSON or text that is not UTF-8
-        raise CheckpointError(f"corrupted checkpoint {path}: {exc}")
-    problem = _checkpoint_problem(state, n, m, k)
-    if problem:
-        raise CheckpointError(f"cannot resume from checkpoint {path}: {problem}")
-    return state
-
-
 def _stamp(n, k):
     """The build a checkpoint belongs to: the package version and the
     signature probes, which decide how candidates are bucketed."""
     return {"version": __version__, "probes": [list(p) for p in probes_for(n, k)]}
 
 
-def _int_list(value, length=None):
-    return (
-        isinstance(value, list)
-        and (length is None or len(value) == length)
-        and all(type(e) is int and e >= 0 for e in value)
-    )
+def _load_checkpoint(directory, n, m, k):
+    """The done batch shapes and the (rows, kind, members) of each class of
+    the window's checkpoint in directory, both empty when there is none.
 
+    classify lists each class at its first member, so the classes of a
+    checkpoint it wrote are, in order, candidates of its done batches, and
+    each degenerate kind that occurs there is listed at its first
+    candidate.  One walk of the done batches, with a cursor on the listed
+    classes, checks that and takes each class's rows from the stream; every
+    candidate joins one class, so the members add up to the candidates."""
+    path = directory and _ckpt_path(directory, n, m, k)
+    if not path or not os.path.exists(path):
+        return [], []
+    try:
+        with open(path) as fh:
+            state = json.load(fh)
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        raise CheckpointError(f"corrupted checkpoint {path}: {exc}")
 
-def _checkpoint_problem(state, n, m, k):
-    """What keeps state from being a checkpoint _save_checkpoint wrote for
-    the window (n, m, k), or None."""
+    def refuse(problem):
+        return CheckpointError(f"cannot resume from checkpoint {path}: {problem}")
+
     if not isinstance(state, dict):
-        return "not a JSON object"
+        raise refuse("not a JSON object")
     for key, want in _stamp(n, k).items():
         if state.get(key) != want:
-            return (f"written by another build ({key} {state.get(key)!r}, "
-                    f"expected {want!r}); delete it to start over")
+            raise refuse(f"written by another build ({key} {state.get(key)!r}, "
+                         f"expected {want!r}); delete it to start over")
     if state.get("params") != [n, m, k]:
-        return "params"
+        raise refuse("params")
     done = state.get("done_batches")
-    if not isinstance(done, list) or not all(_int_list(s, 2) for s in done):
-        return "done_batches"
-    if done != [list(shape) for shape, _batch in candidate_batches(n, m, k)][:len(done)]:
-        return "done_batches are not the first batches of the window"
-    classes = state.get("classes")
-    if not isinstance(classes, list):
-        return "classes"
-    m_eff, k_eff = window_caps(n, m, k)
-    listed, kinds = set(), set()
-    for i, rec in enumerate(classes):
-        if not isinstance(rec, dict):
-            return f"classes[{i}]"
-        rows = rec.get("rows")
-        if not (
-            isinstance(rows, list)
-            and rows
-            and all(_int_list(r) and r and len(r) == len(rows[0]) for r in rows)
-        ):
-            return f"classes[{i}].rows"
-        members = rec.get("members")
-        if type(members) is not int or members < 1:
-            return f"classes[{i}].members"
-        if len(rows) > n or len(rows[0]) > m_eff + 1 or max(map(max, rows)) > k_eff:
-            return f"classes[{i}].rows lie outside the window"
-        rows = tuple(map(tuple, rows))
-        kind = kind_of_rows(rows)
-        if kind.value != rec.get("kind"):
-            return f"classes[{i}].kind is not the kind of its rows"
-        if rows in listed or kind in kinds:
-            return f"classes[{i}] repeats a class listed before it"
-        listed.add(rows)
-        if kind is not DegeneracyClass.PROPER:
-            kinds.add(kind)
-    # each class is a candidate of its batch, which is done
-    for _shape, batch in itertools.islice(candidate_batches(n, m, k), len(done)):
-        listed.difference_update(batch)
-    if listed:
-        return "classes that no done batch generates"
-    return None
+    if not isinstance(done, list):
+        raise refuse("done_batches")
+    batches = list(itertools.islice(candidate_batches(n, m, k), len(done)))
+    if [list(shape) for shape, _batch in batches] != done:
+        raise refuse("done_batches are not the first batches of the window")
+    listed = state.get("classes")
+    if not isinstance(listed, list) or not all(isinstance(rec, dict) for rec in listed):
+        raise refuse("classes")
+    # each class's rows as the stream yields them, and None past the last
+    wanted = [
+        tuple(map(tuple, rows))
+        if isinstance(rows, list) and all(isinstance(r, list) for r in rows) else None
+        for rows in (rec.get("rows") for rec in listed)
+    ] + [None]
+    resumed, kinds, count = [], set(), 0
+    for _shape, batch in batches:
+        for rows in batch:
+            count += 1
+            i = len(resumed)
+            kind = kind_of_rows(rows)
+            if kind is not DegeneracyClass.PROPER:
+                if kind in kinds:
+                    if rows == wanted[i]:
+                        raise refuse(f"classes[{i}] repeats a class listed before it")
+                    continue
+                kinds.add(kind)
+                if rows != wanted[i]:
+                    raise refuse(f"the first {kind.value} candidate, {matrix(rows).text()}, "
+                                 f"is not listed as classes[{i}]")
+            elif rows != wanted[i]:
+                continue
+            if listed[i].get("kind") != kind.value:
+                raise refuse(f"classes[{i}].kind is not the kind of its rows")
+            members = listed[i].get("members")
+            if type(members) is not int or members < 1:
+                raise refuse(f"classes[{i}].members")
+            resumed.append((rows, kind, members))
+    if len(resumed) < len(listed):
+        raise refuse(f"no done batch generates classes[{len(resumed)}] "
+                     "after the classes listed before it")
+    total = sum(members for _rows, _kind, members in resumed)
+    if total != count:
+        raise refuse(f"the classes have {total} members, "
+                     f"but the done batches {count} candidates")
+    return [shape for shape, _batch in batches], resumed
 
 
 def _save_checkpoint(directory, n, m, k, done, classes):
@@ -702,7 +692,7 @@ def _save_checkpoint(directory, n, m, k, done, classes):
     state = {
         **_stamp(n, k),
         "params": [n, m, k],
-        "done_batches": sorted(list(s) for s in done),
+        "done_batches": [list(s) for s in done],
         "classes": [
             {
                 "rows": [list(r) for r in c.rep.rows],

@@ -384,7 +384,7 @@ def test_enumerate_checkpoint_outside_window(capsys, tmp_path):
     code, out, err = run(
         capsys, "enumerate", "2", "3", "2", "--checkpoint", str(tmp_path)
     )
-    assert code == 2 and "error:" in err and "outside the window" in err
+    assert code == 2 and "error:" in err and "is not listed as classes[0]" in err
     assert out == ""
 
 
@@ -418,9 +418,22 @@ def test_enumerate_checkpoint_repeated_class(capsys, tmp_path):
     code, out, err = run(
         capsys, "enumerate", "2", "3", "2", "--checkpoint", str(tmp_path)
     )
-    assert code == 2 and "error:" in err and "repeats a class" in err
+    assert code == 2 and "error:" in err and "no done batch generates classes[2]" in err
     assert out == ""
 
+
+
+def test_enumerate_checkpoint_without_a_degenerate_class(capsys, tmp_path):
+    # the four one-row batches of (2, 3, 2) done, without the `| *` class
+    state = {"version": __version__, "probes": [[3, 1], [2, 2]],
+             "params": [2, 3, 2], "done_batches": [[1, 0], [1, 1], [1, 2], [1, 3]],
+             "classes": [{"rows": [[1]], "kind": "trivial", "members": 2}]}
+    (tmp_path / "classify_2_3_2.json").write_text(json.dumps(state))
+    code, out, err = run(
+        capsys, "enumerate", "2", "3", "2", "--checkpoint", str(tmp_path)
+    )
+    assert code == 2 and "error:" in err and "first anti-trivial candidate" in err
+    assert out == ""
 
 # --- error handling ----------------------------------------------------------
 

@@ -71,6 +71,17 @@ def test_candidates_unique_and_ordered():
             seen.add(rows)
 
 
+def test_batches_keep_their_shape_when_held():
+    # each batch binds its shape: taken all before streaming, the (1, 0)
+    # batch once streamed the (2, 3) candidates
+    batches = list(candidate_batches(2, 3, 2))
+    assert [shape for shape, _batch in batches] == [
+        (n_, m_) for n_ in (1, 2) for m_ in range(4)
+    ]
+    for (n_, m_), batch in batches:
+        assert all(len(rows) == n_ and {len(r) for r in rows} == {m_ + 1} for rows in batch)
+
+
 # sha256 over repr(rows) of the raw candidate stream, in stream order,
 # with the candidate count; taken when each batch still regenerated its
 # shapes once per variable budget and filtered them by largest variable.
@@ -935,18 +946,20 @@ def test_checkpoint_of_four_batches_resumes(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "extra",
+    "extra, problem",
     [
         # `| *` listed twice, which resumed to a seventh class
-        {"rows": [[0]], "kind": "anti-trivial", "members": 5},
+        pytest.param({"rows": [[0]], "kind": "anti-trivial", "members": 5},
+                     r"no done batch generates classes\[2\]", id="extra0"),
         # `1 | 1`, a candidate of batch (1, 1), as a second anti-trivial class
-        {"rows": [[1, 1]], "kind": "anti-trivial", "members": 1},
+        pytest.param({"rows": [[1, 1]], "kind": "anti-trivial", "members": 1},
+                     "repeats a class", id="extra1"),
     ],
 )
-def test_checkpoint_repeated_class_refused(tmp_path, extra):
+def test_checkpoint_repeated_class_refused(tmp_path, extra, problem):
     state = dict(_FOUR_BATCHES, classes=_FOUR_BATCHES["classes"] + [extra])
     (tmp_path / "classify_2_3_2.json").write_text(json.dumps(state))
-    with pytest.raises(CheckpointError, match="repeats a class"):
+    with pytest.raises(CheckpointError, match=problem):
         classify(2, 3, 2, checkpoint_dir=str(tmp_path))
 
 
@@ -960,6 +973,65 @@ def test_checkpoint_foreign_class_refused(tmp_path):
     path.write_text(json.dumps(state))
     with pytest.raises(CheckpointError, match="no done batch generates"):
         classify(2, 3, 2, checkpoint_dir=str(tmp_path))
+
+
+def test_checkpoint_without_a_degenerate_class_refused(tmp_path):
+    # without `| *` it resumed to `1 | 1` as the anti-trivial class, with 61
+    # members instead of 66
+    state = dict(_FOUR_BATCHES, classes=_FOUR_BATCHES["classes"][1:])
+    (tmp_path / "classify_2_3_2.json").write_text(json.dumps(state))
+    with pytest.raises(CheckpointError, match=r"first anti-trivial candidate, \| \*,"):
+        classify(2, 3, 2, checkpoint_dir=str(tmp_path))
+
+
+def test_checkpoint_members_must_add_up(tmp_path):
+    # 8 members over the 7 candidates of the four batches resumed `| *` with
+    # 67 members instead of 66
+    star, trivial = _FOUR_BATCHES["classes"]
+    state = dict(_FOUR_BATCHES, classes=[dict(star, members=6), trivial])
+    (tmp_path / "classify_2_3_2.json").write_text(json.dumps(state))
+    with pytest.raises(CheckpointError, match="8 members, but the done batches 7"):
+        classify(2, 3, 2, checkpoint_dir=str(tmp_path))
+
+
+def test_checkpoint_with_swapped_classes_refused(tmp_path):
+    classify(2, 3, 2, checkpoint_dir=str(tmp_path))
+    path = tmp_path / "classify_2_3_2.json"
+    state = json.loads(path.read_text())
+    first, second = [i for i, c in enumerate(state["classes"]) if c["kind"] == "proper"][:2]
+    classes = state["classes"]
+    classes[first], classes[second] = classes[second], classes[first]
+    path.write_text(json.dumps(state))
+    with pytest.raises(CheckpointError, match="no done batch generates"):
+        classify(2, 3, 2, checkpoint_dir=str(tmp_path))
+
+
+def _batch_shapes(window):
+    return [shape for shape, _batch in candidate_batches(*window)]
+
+
+@pytest.mark.parametrize(
+    "window, stop",
+    [((2, 3, 2), shape) for shape in _batch_shapes((2, 3, 2))]
+    + [((3, 3, 2), shape) for shape in [(1, 2), (2, 2), (3, 1)]],
+    ids=str,
+)
+def test_checkpoint_resumes_from_every_prefix(tmp_path, window, stop):
+    # interrupted as batch `stop` ends, before it is saved, so the
+    # checkpoint holds the batches before it (none for the first batch)
+    class Interrupted(Exception):
+        pass
+
+    def progress(shape, count):
+        if shape == stop:
+            raise Interrupted
+
+    with pytest.raises(Interrupted):
+        classify(*window, checkpoint_dir=str(tmp_path), progress=progress)
+    resumed = classify(*window, checkpoint_dir=str(tmp_path))
+    assert [(c.rep, c.kind, c.members) for c in resumed.classes] == [
+        (c.rep, c.kind, c.members) for c in _classified(window).classes
+    ]
 
 
 # --- export ------------------------------------------------------------------
