@@ -25,7 +25,7 @@ class DegeneracyClass(Enum):
     PROPER = "proper"
 
 
-# bounded: decide, loc_equal and _pair_signature ask again and again about
+# bounded: decide, loc_equal and the Decider ask again and again about
 # the same hypotheses, representatives and localizations.  classify sorts
 # its candidates with kind_of_rows, which reads only _row_view's cache;
 # the matrices it decides come here (186 of the 2,722 of (3,3,2))

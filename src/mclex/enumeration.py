@@ -196,9 +196,13 @@ def probes_for(n, k):
     return probes
 
 
-# bounded: classify and canonical take a candidate's first block to gate a
-# decide and, when it passes, the whole signature right after
-@lru_cache(maxsize=16)
+# bounded, and the only signature cache: classify, canonical, the Decider,
+# groups and subposets all read it, so a block is signed once while it is
+# among the last 4,096 asked.  Edges and groups take two (3, 1) blocks per
+# class, its representative's and its localization's, so the subposets of
+# a window up to 2,000 classes find all of theirs.  An entry keeps a small
+# matrix and an int of at most 1,024 bits, under 1 KB, so at most 4 MB
+@lru_cache(maxsize=1 << 12)
 def _probe_bits(M, probe):
     """M's block of `signature` for one probe."""
     n_p, k_p = probe
@@ -271,29 +275,23 @@ def _equiv(A, B):
 _EDGE_PROBES = ((3, 1),)
 
 
-# bounded: after classify it holds the representatives and their
-# localizations, two entries per class, so the subposets of a window up to
-# 2,000 classes reuse the signatures its edges and groups took; an entry is
-# a small matrix and a short int
-@lru_cache(maxsize=1 << 12)
-def _pair_signature(M):
-    """M's signature over `_EDGE_PROBES`, which edges, groups and subposets compare."""
-    return signature(M, _EDGE_PROBES)
-
-
 class Decider:
     """Directional implication between single matrices, as the Hasse edges
     ask it, answered from what earlier answers imply where they can.
 
     Each matrix is numbered the first time it is seen and keeps its
-    `_pair_signature` and two bitsets over the numbers: `succ`, the
-    matrices it is known to imply (itself included), and `nots`, those it
-    is known not to imply.  `implies(A, B)` answers, in this order:
+    signature over `_EDGE_PROBES`, 0 for a trivial matrix, and two bitsets
+    over the numbers: `succ`, the matrices it is known to imply (itself
+    included), and `nots`, those it is known not to imply.  `implies(A, B)`
+    answers, in this order:
 
     1. False when A's signature has a bit that B's lacks, since
        implication keeps stability (see `signature`): one AND, sig[A] &
-       ~hi[B], tests every probe.  A trivial matrix refutes nothing on
-       either side: its sig is 0 and its hi all ones (-1);
+       ~sig[B], tests every probe.  A trivial A, of signature 0, refutes
+       nothing.  A trivial B refutes every non-trivial A, whose (3, 1)
+       block has the bit of the full relation, and rightly: a trivial
+       matrix holds only in degenerate categories, which a non-trivial one
+       does not force;
     2. True when B is in succ[A];
     3. False when succ[B] meets nots[A]: B implies a matrix that A does
        not, so A =/=> B (B itself included, as B is in succ[B]);
@@ -315,7 +313,6 @@ class Decider:
     def __init__(self):
         self._ids = {}
         self._sig = []
-        self._hi = []
         self._succ = []
         self._nots = []
 
@@ -323,17 +320,14 @@ class Decider:
         i = self._ids.get(M)
         if i is None:
             i = self._ids[M] = len(self._sig)
-            trivial = is_trivial(M)
-            sig = 0 if trivial else _pair_signature(M)
-            self._sig.append(sig)
-            self._hi.append(-1 if trivial else sig)
+            self._sig.append(0 if is_trivial(M) else signature(M, _EDGE_PROBES))
             self._succ.append(1 << i)
             self._nots.append(0)
         return i
 
     def implies(self, A, B):
         i, j = self._number(A), self._number(B)
-        if self._sig[i] & ~self._hi[j]:
+        if self._sig[i] & ~self._sig[j]:
             return False
         succ, nots = self._succ, self._nots
         if (succ[i] >> j) & 1:
@@ -361,31 +355,28 @@ def classify(n, m, k, *, with_order=False, with_groups=False,
     """
     _check_window(n, m, k)
     probes = probes_for(n, k)
-    # the first probe's block is the highest of a signature
-    rest = sum(len(_probe_masks(*p)) for p in probes[1:])
+    gate = probes[0]
 
     classes = []
     sig_buckets = {}
-    blocks = {}  # proper class id -> its first probe block
     degenerate_ids = {}
 
-    def add_class(M, kind, members=1, sig=None):
-        # every class is created here; a resumed one is signed by this build,
-        # since a stored signature from another build would split classes
+    def add_class(M, kind, members=1):
+        # every class is created here
         cid = len(classes)
         classes.append(ClassNode(cid, M, kind, members))
-        if kind is DegeneracyClass.PROPER:
-            if sig is None:
-                sig = signature(M, probes)
-            sig_buckets.setdefault(sig, []).append(cid)
-            blocks[cid] = sig >> rest
-        else:
+        if kind is not DegeneracyClass.PROPER:
             degenerate_ids[kind] = cid
         return cid
 
     done, resumed = _load_checkpoint(checkpoint_dir, n, m, k)
     for rows, kind, members in resumed:
-        add_class(matrix(rows), kind, members)
+        # signed by this build: a stored signature from another build would
+        # split classes
+        M = matrix(rows)
+        cid = add_class(M, kind, members)
+        if kind is DegeneracyClass.PROPER:
+            sig_buckets.setdefault(signature(M, probes), []).append(cid)
 
     last_cid = None
     for shape, batch in itertools.islice(candidate_batches(n, m, k), len(done), None):
@@ -420,12 +411,13 @@ def classify(n, m, k, *, with_order=False, with_groups=False,
             # consecutive candidates often share a class, so the last class
             # placed is decided first, when its first probe block (a class
             # invariant) is the candidate's; the signature reuses that block
-            if (last_cid is not None and _probe_bits(M, probes[0]) == blocks[last_cid]
+            if (last_cid is not None
+                    and _probe_bits(M, gate) == _probe_bits(classes[last_cid].rep, gate)
                     and _equiv(M, classes[last_cid].rep)):
                 classes[last_cid].members += 1
             else:
-                sig = signature(M, probes)
-                for cid in reversed(sig_buckets.get(sig, ())):
+                same = sig_buckets.setdefault(signature(M, probes), [])
+                for cid in reversed(same):
                     if cid == last_cid:
                         continue
                     if _equiv(M, classes[cid].rep):
@@ -433,7 +425,8 @@ def classify(n, m, k, *, with_order=False, with_groups=False,
                         last_cid = cid
                         break
                 else:
-                    last_cid = add_class(M, DegeneracyClass.PROPER, sig=sig)
+                    last_cid = add_class(M, DegeneracyClass.PROPER)
+                    same.append(last_cid)
             by_normal_form[form] = last_cid
         done.append(shape)
         if progress:
@@ -500,8 +493,8 @@ def compute_groups(classes):
 
     The two degenerate classes each stand alone, labelled by their kind.
     Proper classes are grouped by `loc_equal`, which each class runs only
-    against the first classes of the groups with its localized
-    `_pair_signature`.  A group is named after the first anchor that its
+    against the first classes of the groups with its localized signature
+    over `_EDGE_PROBES`.  A group is named after the first anchor that its
     first class is loc-equal to, asked only of anchors of the group's
     signature, else after that class's localization.
     """
@@ -512,7 +505,7 @@ def compute_groups(classes):
             groups.append(Group(node.kind.value, [node.id]))
             continue
         L = localize(node.rep)
-        sig = _pair_signature(L)
+        sig = signature(L, _EDGE_PROBES)
         bucket = firsts.setdefault(sig, [])
         for gi, rep in bucket:
             if loc_equal(node.rep, rep):
@@ -522,7 +515,8 @@ def compute_groups(classes):
             bucket.append((len(groups), node.rep))
             label = next(
                 (name for name, A in ANCHORS.items()
-                 if _pair_signature(localize(A)) == sig and loc_equal(node.rep, A)),
+                 if signature(localize(A), _EDGE_PROBES) == sig
+                 and loc_equal(node.rep, A)),
                 "loc:" + L.text(),
             )
             groups.append(Group(label, [node.id]))
@@ -532,15 +526,15 @@ def compute_groups(classes):
 def subposet_by_localization(classes, anchor):
     """Classes localization-equal to the anchor, with their induced order.
 
-    `loc_equal` decides only the proper classes whose localized
-    `_pair_signature` equals the localized anchor's: the others are not
+    `loc_equal` decides only the proper classes whose localized signature
+    over `_EDGE_PROBES` equals the localized anchor's: the others are not
     loc-equal to it.
     """
-    sig = _pair_signature(localize(anchor))
+    sig = signature(localize(anchor), _EDGE_PROBES)
     nodes = [
         c for c in classes
         if c.kind is DegeneracyClass.PROPER
-        and _pair_signature(localize(c.rep)) == sig and loc_equal(c.rep, anchor)
+        and signature(localize(c.rep), _EDGE_PROBES) == sig and loc_equal(c.rep, anchor)
     ]
     reps = [c.rep for c in nodes]
     local = compute_edges(reps)
@@ -615,7 +609,10 @@ def _load_checkpoint(directory, n, m, k):
     each degenerate kind that occurs there is listed at its first
     candidate.  One walk of the done batches, with a cursor on the listed
     classes, checks that and takes each class's rows from the stream; every
-    candidate joins one class, so the members add up to the candidates."""
+    candidate joins one class, so the members add up to the candidates.
+    A class listed at a later member instead of its first still resumes,
+    with that member as its representative: telling the two apart takes
+    the decides that classify makes, and the walk makes none."""
     path = directory and _ckpt_path(directory, n, m, k)
     if not path or not os.path.exists(path):
         return [], []

@@ -20,7 +20,7 @@ def substitute_star(M, x):
     """Replace every occurrence of the variable x (1-based) by the star."""
     if not (1 <= x <= M.k):
         raise ValueError(f"variable x{x} outside budget k={M.k}")
-    if any(e == STAR for row in M.rows for e in row):
+    if not M.is_nonpointed:
         raise ValueError("star substitution is defined for star-free matrices")
     if not any(e == x for row in M.rows for e in row):
         warnings.warn(f"variable x{x} does not occur; substitution is a no-op")
@@ -48,7 +48,7 @@ def is_admissible(M, x):
     """
     if not (1 <= x <= M.k):
         raise ValueError(f"variable x{x} outside budget k={M.k}")
-    if any(e == STAR for row in M.rows for e in row):
+    if not M.is_nonpointed:
         raise ValueError("admissibility is defined for star-free matrices")
     for j in range(M.m):
         ok = True

@@ -7,12 +7,21 @@ import os
 import pytest
 
 from mclex import classify, matrix, parse_matrix
+from mclex.enumeration import _probe_bits
 
 # Run the heavy enumeration tests only when MCLEX_SLOW=1 is set.
 slow = pytest.mark.skipif(
     os.environ.get("MCLEX_SLOW") != "1",
     reason="set MCLEX_SLOW=1 to run the heavy enumeration tests",
 )
+
+
+@pytest.fixture(autouse=True)
+def cold_probe_blocks():
+    """Each test leaves the process's probe blocks cold, as a fresh process
+    has them, so a later test that counts signing sees its own blocks."""
+    yield
+    _probe_bits.cache_clear()
 
 
 @functools.lru_cache(maxsize=None)

@@ -25,7 +25,7 @@ from mclex import (
     transitive_reduction,
     window_caps,
 )
-from mclex.closure import decide
+from mclex.closure import decide, instantiate
 from mclex.degeneracy import DegeneracyClass, degeneracy_class, is_trivial
 from mclex.enumeration import (
     _EDGE_PROBES,
@@ -33,7 +33,6 @@ from mclex.enumeration import (
     ClassNode,
     Decider,
     PosetGraph,
-    _pair_signature,
     _probe_bits,
     _probe_masks,
     candidate_batches,
@@ -64,6 +63,7 @@ def test_window_caps():
 def test_candidates_unique_and_ordered():
     seen = set()
     for shape, batch in candidate_batches(3, 3, 2):
+        batch = list(batch)  # a generator: the keys alone would use it up
         keys = [(_maxvar(rows), lex_key(matrix(rows))) for rows in batch]
         assert keys == sorted(keys)
         for rows in batch:
@@ -376,30 +376,51 @@ def test_subposets_decide_only_signature_equal_classes(monkeypatch):
     # over the four anchors, the 29 proper classes of (3,6,1) took 116
     # loc_equal calls without the filter; the 8 left are the 8 that hold.
     # Edges and groups have signed every representative and localization
-    # already, so the subposets sign at most the localized anchors: they
-    # took 126 signature calls when they signed over probes of their own
+    # already, so the subposets sign blocks of at most the localized
+    # anchors: they took 126 signature calls when they signed over probes of
+    # their own
     classes = classify(3, 6, 1, with_order=True, with_groups=True).classes
     answers = []
-    signed = []
 
     def counting(A, B):
         answers.append(loc_equal(A, B))
         return answers[-1]
 
-    def counting_signature(M, probes):
-        signed.append(M)
-        return signature(M, probes)
-
     monkeypatch.setattr(mclex.enumeration, "loc_equal", counting)
-    monkeypatch.setattr(mclex.enumeration, "signature", counting_signature)
+    signed = _signed_blocks(monkeypatch)
     nodes = [subposet_by_localization(classes, anchor)[0] for anchor in ANCHORS.values()]
     assert sum(map(len, nodes)) == 8
     assert answers == [True] * 8
     assert len(signed) <= 4
 
 
+def _signed_blocks(monkeypatch):
+    """The (matrix, probe) of each block `_probe_bits` signs from now on,
+    read from its calls to `instantiate`."""
+    signed = []
+
+    def recording(M, k):
+        signed.append((M, sys._getframe(1).f_locals["probe"]))
+        return instantiate(M, k)
+
+    monkeypatch.setattr(mclex.enumeration, "instantiate", recording)
+    return signed
+
+
+def test_each_block_signed_once(monkeypatch):
+    # classify, its edges and groups, and the four anchor subposets of
+    # (3,6,1) read one cache: 102 blocks, where two caches signed 131
+    _probe_bits.cache_clear()
+    signed = _signed_blocks(monkeypatch)
+    classes = classify(3, 6, 1, with_order=True, with_groups=True).classes
+    for anchor in ANCHORS.values():
+        subposet_by_localization(classes, anchor)
+    again = [key for key, count in collections.Counter(signed).items() if count > 1]
+    assert signed and again == []
+
+
 def test_comparisons_after_classify_sign_over_edge_probes(monkeypatch):
-    # edges, groups and subposets all compare _pair_signature; (4,3,1) is a
+    # edges, groups and subposets all sign over _EDGE_PROBES; (4,3,1) is a
     # window where classify's own probes_for adds a third probe, (4, 1)
     callers = {"classify", "compute_edges", "compute_groups", "subposet_by_localization"}
     calls = []
@@ -412,9 +433,9 @@ def test_comparisons_after_classify_sign_over_edge_probes(monkeypatch):
         return signature(M, probes)
 
     monkeypatch.setattr(mclex.enumeration, "signature", recording)
-    _pair_signature.cache_clear()  # so that every caller signs afresh
+    _probe_bits.cache_clear()  # so that every caller signs afresh
     graph = classify(4, 3, 1, with_order=True, with_groups=True)
-    _pair_signature.cache_clear()
+    _probe_bits.cache_clear()
     for anchor in ANCHORS.values():
         subposet_by_localization(graph.classes, anchor)
     assert {probes for name, probes in calls if name == "classify"} == {
@@ -631,17 +652,21 @@ def test_packed_signatures_refute_as_the_probe_tuples():
     assert sum(is_trivial(M) for M in reps) == 2
     decider = Decider()
     ids = [decider._number(M) for M in reps]
-    # per probe, and nothing on either side for a trivial matrix
-    parts = [
-        () if is_trivial(M) else [signature(M, [p]) for p in _EDGE_PROBES] for M in reps
-    ]
-    refuted = 0
+    parts = [[signature(M, [p]) for p in _EDGE_PROBES] for M in reps]
+    refuted = []
     for A, parts_A, i in zip(reps, parts, ids):
         for B, parts_B, j in zip(reps, parts, ids):
-            want = any(a & ~b for a, b in zip(parts_A, parts_B))
-            assert bool(decider._sig[i] & ~decider._hi[j]) == want, (A, B)
-            refuted += want
-    assert 0 < refuted < len(reps) ** 2
+            # per probe; a trivial A refutes nothing, and a trivial B
+            # refutes every non-trivial A
+            if is_trivial(A) or is_trivial(B):
+                want = is_trivial(B) and not is_trivial(A)
+            else:
+                want = any(a & ~b for a, b in zip(parts_A, parts_B))
+            assert bool(decider._sig[i] & ~decider._sig[j]) == want, (A, B)
+            if want:
+                refuted.append((A, B))
+    assert 0 < len(refuted) < len(reps) ** 2
+    assert not any(decide([A], [B])[0] for A, B in refuted)
 
 
 # --- properties of decide on random candidates --------------------------------

@@ -165,11 +165,9 @@ def test_no_write_only_fields():
     assert write_only_fields(sources) == []
 
 
-def unbounded_caches(source):
-    """(line, name), in line order, of each functools cache without a
-    finite maxsize of its own: `cache`, `lru_cache` used bare or called with no maxsize (an
-    unstated 128), and `lru_cache(maxsize=None)`."""
-    tree = ast.parse(source)
+def _functools_names(tree):
+    """A function giving the functools name that a node of the tree reads,
+    or None."""
     aliases = {
         a.asname or a.name: a.name
         for node in ast.walk(tree)
@@ -184,6 +182,15 @@ def unbounded_caches(source):
             return node.attr
         return None
 
+    return name
+
+
+def unbounded_caches(source):
+    """(line, name), in line order, of each functools cache without a
+    finite maxsize of its own: `cache`, `lru_cache` used bare or called with no maxsize (an
+    unstated 128), and `lru_cache(maxsize=None)`."""
+    tree = ast.parse(source)
+    name = _functools_names(tree)
     called = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and name(node.func) == "lru_cache":
@@ -222,6 +229,48 @@ def test_caches_are_bounded():
     # grows with every matrix a long enumeration meets
     found = {p.name: unbounded_caches(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert {module: caches for module, caches in found.items() if caches} == {}
+
+
+def cached_functions(source):
+    """In line order, the function each functools cache of a module
+    decorates, or `line N` for a cache made any other way."""
+    tree = ast.parse(source)
+    name = _functools_names(tree)
+    decorated = {
+        id(d.func if isinstance(d, ast.Call) else d): node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for d in node.decorator_list
+    }
+    caches = sorted(
+        (node for node in ast.walk(tree)
+         if name(node) in ("cache", "lru_cache") and isinstance(node.ctx, ast.Load)),
+        key=lambda node: (node.lineno, node.col_offset),
+    )
+    return [decorated.get(id(node), f"line {node.lineno}") for node in caches]
+
+
+def test_cached_functions_detected():
+    source = (
+        "import functools\nfrom functools import lru_cache, cache as memo\n"
+        "@lru_cache(maxsize=8)\ndef a(): pass\n"
+        "@memo\ndef b(): pass\n"
+        "g = functools.lru_cache(4)(len)\n"
+        "@staticmethod\ndef c(): pass\n"
+    )
+    assert cached_functions(source) == ["a", "b", "line 7"]
+
+
+def test_caches_are_named():
+    # each cache holds memory that no caller frees, so adding one means
+    # naming it here
+    found = {p.name: cached_functions(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {module: names for module, names in found.items() if names} == {
+        "_kernel.py": ["_packed", "_perm_slices"],
+        "closure.py": ["_instantiate_cached", "_goal_codes", "_first_witnesses"],
+        "degeneracy.py": ["is_trivial", "_row_view"],
+        "enumeration.py": ["_probe_masks", "_probe_bits"],
+    }
 
 
 def _modules_loaded_by_import():
