@@ -18,7 +18,9 @@ AND, over its left columns, of one row-table entry each (the set
 intersection of generic join, bit-parallel over the rows) instead of one
 prefix test per row.  A partial tuple is dropped as soon as one of its
 partial left columns is no prefix of a column in the set, and a complete
-tuple whose right column is in the set is never visited.
+tuple whose right column is in the set is never visited.  The digit lists
+and set of a goal's starting columns are built once, by `_seed`, and
+copied on each call, since the scans grow them.
 
 Both closure kernels read one stream of the surviving tuples, `_tuples`, in
 the order of the unpruned scan, under two round policies.  `closure_mask`
@@ -128,22 +130,41 @@ def _tuples(scan, field, digits, full):
     return level
 
 
+# one entry per goal column set.  compute_edges asks the goals of a window
+# over and over, one row of pairs at a time: the 1,953 classes of (4,7,1)
+# have 1,774 column sets, and the cache holds them all.  The 3,766 sets of
+# (4,15,1) overflow it, but a row decides few goals, so 90% of its 334,524
+# lookups hit.  An entry holds n small tuples and a frozenset, about 1 KB
+# on (4,7,1), so at most 2 MB
+@lru_cache(maxsize=1 << 11)
+def _seed(n, k, r0):
+    """The digit lists of r0's columns as tuples, and those columns as a
+    frozenset; `_start` copies both, since the scans grow them."""
+    base = k + 1
+    digits = [[0] * base**d for d in range(n)]
+    full = []
+    while r0:
+        low = r0 & -r0
+        c = low.bit_length() - 1
+        _add(digits, c, base)
+        full.append(c)
+        r0 ^= low
+    return tuple(map(tuple, digits)), frozenset(full)
+
+
 def _start(n, k, mats, r0):
     """Shared set-up of the closure kernels: the field mask, the digit
     lists of r0's columns, those columns as a set, and the packed
-    hypotheses as (index, _packed(...)), leaving out those without rows."""
-    base = k + 1
-    universe = base**n
-    full = {c for c in range(universe) if (r0 >> c) & 1}
-    digits = [[0] * base**d for d in range(n)]
-    for c in full:
-        _add(digits, c, base)
+    hypotheses as (index, _packed(...)), leaving out those without rows.
+    The digit lists and the set are fresh copies of the goal's `_seed`."""
+    seed_digits, seed_full = _seed(n, k, r0)
     scans = [
         (mi, _packed(n, k, m, tuple(rows)))
         for mi, (m, rows) in enumerate(mats)
         if rows
     ]
-    return (1 << universe.bit_length()) - 1, digits, full, scans
+    field = (1 << ((k + 1) ** n).bit_length()) - 1
+    return field, list(map(list, seed_digits)), set(seed_full), scans
 
 
 def _add(digits, c, base):

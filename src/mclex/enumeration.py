@@ -297,6 +297,11 @@ class Decider:
        not, so A =/=> B (B itself included, as B is in succ[B]);
     4. otherwise `decide([A], [B])`, whose answer extends the bitsets.
 
+    A and B are matrices or the numbers `_number` gave them.
+    `compute_edges` numbers its representatives once and asks by number,
+    so a pair costs no lookup; asking by matrix costs a dict lookup each,
+    on the matrix's cached hash.
+
     Transitivity: `decide` is a complete decision procedure for a
     preorder.  A => B gives A => every successor of B, and B =/=> every
     known non-successor of A.  A =/=> B gives W =/=> B for every W that A
@@ -312,6 +317,7 @@ class Decider:
 
     def __init__(self):
         self._ids = {}
+        self._mats = []
         self._sig = []
         self._succ = []
         self._nots = []
@@ -320,13 +326,15 @@ class Decider:
         i = self._ids.get(M)
         if i is None:
             i = self._ids[M] = len(self._sig)
+            self._mats.append(M)
             self._sig.append(0 if is_trivial(M) else signature(M, _EDGE_PROBES))
             self._succ.append(1 << i)
             self._nots.append(0)
         return i
 
     def implies(self, A, B):
-        i, j = self._number(A), self._number(B)
+        i = A if A.__class__ is int else self._number(A)
+        j = B if B.__class__ is int else self._number(B)
         if self._sig[i] & ~self._sig[j]:
             return False
         succ, nots = self._succ, self._nots
@@ -334,7 +342,7 @@ class Decider:
             return True
         if succ[j] & nots[i]:
             return False
-        if decide([A], [B])[0]:
+        if decide([self._mats[i]], [self._mats[j]])[0]:
             succ[i] |= succ[j]
             nots[j] |= nots[i]
             return True
@@ -454,14 +462,17 @@ def compute_edges(reps):
     """All directed implications between class representatives.
 
     One Decider answers every ordered pair, i outer and j inner, so each
-    pair can be settled by the answers to the pairs before it.
+    pair can be settled by the answers to the pairs before it.  It numbers
+    the representatives once and is asked by number.
     """
-    implies = Decider().implies
+    decider = Decider()
+    ids = [decider._number(M) for M in reps]
+    implies = decider.implies
     return {
         (i, j)
-        for i, A in enumerate(reps)
-        for j, B in enumerate(reps)
-        if i != j and implies(A, B)
+        for i, a in enumerate(ids)
+        for j, b in enumerate(ids)
+        if i != j and implies(a, b)
     }
 
 
@@ -492,27 +503,38 @@ def compute_groups(classes):
     """Partition classes by the property they impose on localizations.
 
     The two degenerate classes each stand alone, labelled by their kind.
-    Proper classes are grouped by `loc_equal`, which each class runs only
-    against the first classes of the groups with its localized signature
-    over `_EDGE_PROBES`.  A group is named after the first anchor that its
-    first class is loc-equal to, asked only of anchors of the group's
-    signature, else after that class's localization.
+    A proper class whose localization has the normal form of an earlier
+    class's localization joins that class's group: equal normal forms mean
+    equivalent localizations.  The others are grouped by `loc_equal`,
+    which each class runs only against the first classes of the groups
+    with its localized signature over `_EDGE_PROBES`.  A group is named
+    after the first anchor that its first class is loc-equal to, asked
+    only of anchors of the group's signature, else after that class's
+    localization.
     """
     groups = []
     firsts = {}  # localized signature -> [(group index, its first class)]
+    by_form = {}  # _normalize_rows of a localization -> its group index
     for node in classes:
         if node.kind is not DegeneracyClass.PROPER:
             groups.append(Group(node.kind.value, [node.id]))
             continue
         L = localize(node.rep)
+        # signed first, shortcut or not: subposets read these blocks
         sig = signature(L, _EDGE_PROBES)
+        form = _normalize_rows(L.rows)
+        gi = by_form.get(form)
+        if gi is not None:
+            groups[gi].class_ids.append(node.id)
+            continue
         bucket = firsts.setdefault(sig, [])
         for gi, rep in bucket:
             if loc_equal(node.rep, rep):
                 groups[gi].class_ids.append(node.id)
                 break
         else:
-            bucket.append((len(groups), node.rep))
+            gi = len(groups)
+            bucket.append((gi, node.rep))
             label = next(
                 (name for name, A in ANCHORS.items()
                  if signature(localize(A), _EDGE_PROBES) == sig
@@ -520,6 +542,7 @@ def compute_groups(classes):
                 "loc:" + L.text(),
             )
             groups.append(Group(label, [node.id]))
+        by_form[form] = gi
     return groups
 
 

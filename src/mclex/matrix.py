@@ -94,7 +94,11 @@ class _Frozen:
 class ExtendedMatrix(_Frozen):
     """An n x (m+1) grid; the last column of each row is the right column."""
 
-    __slots__ = ("n", "m", "k", "rows")  # rows: n tuples, each of length m+1
+    # rows: n tuples, each of length m+1.  _hash is not a field: _values,
+    # __eq__, __repr__ and pickling leave it out, and __hash__ fills it on
+    # first use.  It stays unset until then, so that building a matrix
+    # costs no more: a None default took 0.2 us per matrix
+    __slots__ = ("n", "m", "k", "rows", "_hash")
 
     def __init__(self, n, m, k, rows):
         if n < 1 or m < 0 or k < 0:
@@ -115,15 +119,23 @@ class ExtendedMatrix(_Frozen):
     def _values(self):
         return (self.n, self.m, self.k, self.rows)
 
-    # _Frozen's, without the _values call: the Hasse order hashes a matrix
-    # per pair it numbers (10,304 hashes for (3,3,2) and (4,3,1))
+    # _Frozen's, without the _values call
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.n, self.m, self.k, self.rows) == (other.n, other.m, other.k, other.rows)
         return NotImplemented
 
+    # computed once: every decide looks its matrices up in the
+    # matrix-keyed caches (`is_trivial`, `_goal_codes`), and the Decider
+    # numbers matrices by them, so the nested row tuples would be hashed
+    # again on each lookup
     def __hash__(self):
-        return hash((self.n, self.m, self.k, self.rows))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.n, self.m, self.k, self.rows))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     @property
     def right_column(self):

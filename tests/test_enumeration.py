@@ -308,6 +308,44 @@ def test_group_labels_of_four_row_window():
     _check_group_labels((4, 3, 1), 21)
 
 
+# compute_groups by digest of [[label, class ids], ...] per group, as taken
+# before classes joined groups by the normal forms of their localizations
+_GROUP_DIGESTS = {
+    (3, 3, 2): "045902155268c8d53ab79f14776f94088e130db83a469c5663f4592b97676fac",
+    (4, 3, 1): "f232c547789093611483bcfb98c1ff07ef9baa1df92b597b7af2f4e3bf03e93e",
+    (3, 6, 1): "55f5c9a8594e3ea106f0aef2fa08fa06cf39ab977ba3a9bab6408ccab7f99224",
+    (4, 4, 1): "3022d8ab2d871457a481f13265cb5623c97554d22294e01d05bfd16a4e4b6b6a",
+}
+
+
+@pytest.mark.parametrize("window", sorted(_GROUP_DIGESTS), ids=str)
+def test_groups_equal_pinned_digests(window):
+    groups = compute_groups(_classified(window).classes)
+    text = json.dumps([[g.label, g.class_ids] for g in groups])
+    assert hashlib.sha256(text.encode()).hexdigest() == _GROUP_DIGESTS[window]
+
+
+def test_groups_join_equal_localized_forms_without_loc_equal(monkeypatch):
+    # (4,4,1) took 311 loc_equal calls before classes joined the group of
+    # an earlier class whose localization has the same normal form, and 133
+    # since; each call that is left answers a class's first equal form
+    classes = _classified((4, 4, 1)).classes
+    answers = []
+
+    def counting(A, B):
+        answers.append(loc_equal(A, B))
+        return answers[-1]
+
+    monkeypatch.setattr(mclex.enumeration, "loc_equal", counting)
+    groups = compute_groups(classes)
+    assert len(groups) == 37
+    assert len(answers) <= 133
+    # the shortcut joins only what loc_equal joins
+    for group in groups:
+        first = classes[group.class_ids[0]].rep
+        assert all(loc_equal(first, classes[i].rep) for i in group.class_ids[1:])
+
+
 def test_subposet_by_localization_small():
     graph = classify(2, 3, 2)
     nodes, edges, reduced = subposet_by_localization(graph.classes, ANCHORS["maltsev"])

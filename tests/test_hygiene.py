@@ -266,7 +266,8 @@ def test_caches_are_named():
     # naming it here
     found = {p.name: cached_functions(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert {module: names for module, names in found.items() if names} == {
-        "_kernel.py": ["_packed", "_perm_slices"],
+        # _seed: one closure seed per goal column set, bounded at 2,048
+        "_kernel.py": ["_packed", "_seed", "_perm_slices"],
         "closure.py": ["_instantiate_cached", "_goal_codes", "_first_witnesses"],
         "degeneracy.py": ["is_trivial", "_row_view"],
         "enumeration.py": ["_probe_masks", "_probe_bits"],

@@ -196,6 +196,31 @@ def test_closure_record_matches_reference():
                 n, k, mats, r0, stop)
 
 
+def test_goal_seed_is_copied_not_shared():
+    # the kernels grow the digit lists and set that _start copies from the
+    # goal's cached seed; calls with the same (n, k, r0) must each start
+    # from r0 alone, whatever the calls before them derived
+    rows = ((0, 0, 0, 0), (1, 1, 0, 1), (2, 2, 0, 2), (1, 0, 0, 1), (2, 0, 0, 2),
+            (1, 0, 1, 0), (2, 0, 2, 0), (0, 1, 0, 1), (1, 1, 1, 1), (2, 1, 2, 1),
+            (0, 2, 0, 2), (1, 2, 1, 2), (2, 2, 2, 2))
+    n, k, r0, goal = 3, 2, 32913, 13
+    _kernel._seed.cache_clear()
+    seed = _kernel._seed(n, k, r0)
+    grown = _kernel.closure_mask(n, k, [(3, rows)], r0)
+    assert grown == reference_closure_mask(n, k, [(3, rows)], r0) and grown != r0
+    # a hypothesis that derives nothing
+    nothing = reference_closure_mask(n, k, [(3, rows[:1])], r0)
+    assert _kernel.closure_mask(n, k, [(3, rows[:1])], r0) == nothing == r0
+    assert _kernel.closure_mask(n, k, [(3, rows)], r0, goal) == 0b11011011011011011
+    expected = reference_saturate_record(n, k, [(3, rows)], r0, goal)
+    got, log = _kernel.closure_record(n, k, [(3, rows)], r0, goal)
+    assert (got, list(log.items())) == (expected[0], list(expected[1].items()))
+    assert _kernel._seed.cache_info().misses == 1
+    assert _kernel._seed(n, k, r0) == seed
+    _kernel._seed.cache_clear()
+    assert _kernel._seed(n, k, r0) == seed
+
+
 # the Mal'tsev matrix with 97 more copies of its constant column (2, 2): 100
 # left columns; against the subtraction goal it derives every column
 WIDE = matrix([row[:-1] + (2,) * 97 + row[-1:] for row in MALTSEV.rows])

@@ -296,6 +296,25 @@ def test_matrix_copy_and_pickle():
         assert again == M and type(again) is ExtendedMatrix and again.k == 3
 
 
+def test_matrix_hash_is_cached_outside_the_fields():
+    # the hash is computed on first use and kept in a slot that equality,
+    # repr and pickling leave out
+    rows = ((1, 2, 2, 1), (2, 2, 1, 1))
+    M = ExtendedMatrix(2, 3, 2, rows)
+    fresh = ExtendedMatrix(2, 3, 2, tuple(map(tuple, map(list, rows))))
+    text = repr(M)
+    state = pickle.dumps(M)
+    assert hash(M) == hash((2, 3, 2, rows)) == hash(M)
+    assert M == fresh and fresh == M and hash(fresh) == hash(M) and fresh is not M
+    assert repr(M) == text == repr(fresh)
+    assert text == "ExtendedMatrix(n=2, m=3, k=2, rows=((1, 2, 2, 1), (2, 2, 1, 1)))"
+    assert pickle.dumps(M) == state
+    for again in (copy.copy(M), copy.deepcopy(M), pickle.loads(state)):
+        assert again == M and hash(again) == hash(M) and repr(again) == text
+    # a cache keyed by one matrix finds it under the other
+    assert {M: 1}[fresh] == 1
+
+
 def test_matrix_of_no_rows_rejected():
     with pytest.raises(ValueError):
         matrix([])
