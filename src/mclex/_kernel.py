@@ -3,9 +3,15 @@
 Column sets over the universe of (k+1)^n pointed columns are Python ints
 used as bitmasks; a column (e_1,...,e_n) has code sum(e_i * (k+1)**i).
 
-All kernels build their row tuples from rows packed into fixed-width
-integer fields, one per column, so that a whole row adds its entries to
-every column code with one addition.
+All kernels build their row tuples from rows packed by `_steps` into
+fixed-width integer fields, so that a whole row adds its entries to every
+column code with one addition.  A row becomes one int with a field of
+w = universe.bit_length() bits per entry: field j holds entry j, the right
+entry is in field m.  Row d of a tuple adds its step packed_row * (k+1)**d,
+which adds e_j * (k+1)**d to every field j at once.  A field then holds a
+base-(k+1) number of at most n digits, below universe = (k+1)**n < 2**w,
+so no field ever carries into the next and field j of the sum is the code
+of column j.
 
 The closure kernels extend row tuples one row at a time; row d of a tuple
 gives digit d of each of its columns.  They keep the column set as digit
@@ -18,9 +24,10 @@ AND, over its left columns, of one row-table entry each (the set
 intersection of generic join, bit-parallel over the rows) instead of one
 prefix test per row.  A partial tuple is dropped as soon as one of its
 partial left columns is no prefix of a column in the set, and a complete
-tuple whose right column is in the set is never visited.  The digit lists
-and set of a goal's starting columns are built once, by `_seed`, and
-copied on each call, since the scans grow them.
+tuple whose right column is in the set is never visited.  A goal's seed,
+built by `_seed` and cached per goal by the caller, holds the digit lists
+and set of its starting columns; each call copies them, since the scans
+grow them.
 
 Both closure kernels read one stream of the surviving tuples, `_tuples`, in
 the order of the unpruned scan, under two round policies.  `closure_mask`
@@ -48,39 +55,39 @@ from functools import lru_cache
 BACKEND = "python"
 
 
-# one entry per (universe, hypothesis).  compute_edges decides one
-# hypothesis against the goals of a row, so a few entries suffice: on the
-# Hasse order of (3,3,2) and (4,3,1), 8 to 32 entries hit on 461 of the 636
-# packings (an unbounded cache on 470).  classify of the same windows hits
-# on 356, 417 and 435 of 1,018 with 8, 16 and 32 entries.  On certify, 2 to
-# 32 entries hit on 986 to 988 of 1,873 packings, where the recorded decide
-# repacks the hypothesis of the verdict-only one.  An entry holds about
-# 1.3 KB, 0.4 KB of it row tables
-@lru_cache(maxsize=32)
-def _packed(n, k, m, rows):
-    """Rows packed into fixed-width fields, with their per-depth multiples
-    and a row table per column.
-
-    Each row becomes one int with a field of w = universe.bit_length() bits
-    per entry, the right entry in field m.  Returns (steps, left, leaf,
-    right): steps[d] holds packed_row * (k+1)**d for every row and right is
-    the offset of the right field.  Adding steps[d][i] extends every partial
-    column of a tuple by one digit at once; no field carries into the next
-    because every field stays below universe < 2**w.
-
-    left holds one (offset, table) pair per left column j: table[digits],
-    for a set of digits given as a bitmask, is the row mask of the rows
-    whose entry j is one of those digits, 2**(k+1) entries.  leaf is left
-    with one more pair for the right column, whose table is complemented:
-    the rows whose right entry is none of the digits.
-    """
+def _steps(n, k, rows):
+    """The field width w and the rows' steps: steps[d][i] is row i packed
+    into fields of w bits, times (k+1)**d."""
     base = k + 1
     w = (base**n).bit_length()
     packed = [sum(e << (w * j) for j, e in enumerate(row)) for row in rows]
-    steps = tuple(tuple(p * base**d for p in packed) for d in range(n))
+    return w, tuple(tuple([p * f for p in packed]) for f in [base**d for d in range(n)])
+
+
+# one entry per (universe, hypothesis).  compute_edges decides one
+# hypothesis against the goals of a row, so a few entries suffice: on the
+# Hasse order of (3,3,2) and (4,3,1), 8 to 32 entries hit on 461 of the 623
+# packings (an unbounded cache on 469).  classify of the same windows hits
+# on 273, 311 and 324 of its 703 with 8, 16 and 32 entries (404
+# unbounded).  On certify, 2 to 32 entries hit on 986 to 988 of 1,873
+# packings, where the recorded decide repacks the hypothesis of the
+# verdict-only one.  An entry holds about 2 KB, 1.2 KB of it row tables
+@lru_cache(maxsize=32)
+def _packed(n, k, m, rows):
+    """The steps of `_steps`, a row table per column, and the offset of the
+    right field.
+
+    Returns (steps, left, leaf, right).  left holds one (offset, table) pair
+    per left column j: table[digits], for a set of digits given as a
+    bitmask, is the row mask of the rows whose entry j is one of those
+    digits, 2**(k+1) entries.  leaf is left with one more pair for the right
+    column, whose table is complemented: the rows whose right entry is none
+    of the digits.
+    """
+    w, steps = _steps(n, k, rows)
     tables = []
     for j in range(m + 1):
-        by_digit = [0] * base
+        by_digit = [0] * (k + 1)
         for i, row in enumerate(rows):
             by_digit[row[j]] |= 1 << i
         table = [0]
@@ -130,41 +137,29 @@ def _tuples(scan, field, digits, full):
     return level
 
 
-# one entry per goal column set.  compute_edges asks the goals of a window
-# over and over, one row of pairs at a time: the 1,953 classes of (4,7,1)
-# have 1,774 column sets, and the cache holds them all.  The 3,766 sets of
-# (4,15,1) overflow it, but a row decides few goals, so 90% of its 334,524
-# lookups hit.  An entry holds n small tuples and a frozenset, about 1 KB
-# on (4,7,1), so at most 2 MB
-@lru_cache(maxsize=1 << 11)
 def _seed(n, k, r0):
-    """The digit lists of r0's columns as tuples, and those columns as a
-    frozenset; `_start` copies both, since the scans grow them."""
+    """The closure kernels' start from the column set r0: r0, the digit
+    lists of its columns as tuples, and those columns as a frozenset."""
     base = k + 1
     digits = [[0] * base**d for d in range(n)]
     full = []
-    while r0:
-        low = r0 & -r0
+    rest = r0
+    while rest:
+        low = rest & -rest
         c = low.bit_length() - 1
         _add(digits, c, base)
         full.append(c)
-        r0 ^= low
-    return tuple(map(tuple, digits)), frozenset(full)
+        rest ^= low
+    return r0, tuple(map(tuple, digits)), frozenset(full)
 
 
-def _start(n, k, mats, r0):
-    """Shared set-up of the closure kernels: the field mask, the digit
-    lists of r0's columns, those columns as a set, and the packed
-    hypotheses as (index, _packed(...)), leaving out those without rows.
-    The digit lists and the set are fresh copies of the goal's `_seed`."""
-    seed_digits, seed_full = _seed(n, k, r0)
-    scans = [
-        (mi, _packed(n, k, m, tuple(rows)))
-        for mi, (m, rows) in enumerate(mats)
-        if rows
-    ]
+def _start(n, k, mats, seed):
+    """Shared set-up of the closure kernels: the field mask, fresh copies
+    of the seed's digit lists and column set, and the packed hypotheses."""
+    _r0, digits, full = seed
+    scans = [_packed(n, k, m, tuple(rows)) for m, rows in mats]
     field = (1 << ((k + 1) ** n).bit_length()) - 1
-    return field, list(map(list, seed_digits)), set(seed_full), scans
+    return field, list(map(list, digits)), set(full), scans
 
 
 def _add(digits, c, base):
@@ -178,12 +173,14 @@ def _add(digits, c, base):
         w *= base
 
 
-def closure_mask(n, k, mats, r0, stop=-1):
-    """Least fixpoint of the one-step derivation operator above r0.
+def closure_mask(n, k, mats, seed, stop=-1):
+    """Least fixpoint of the one-step derivation operator above r0, given
+    as its `_seed`.
 
     mats is a list of (m, rows) pairs where rows is a flat list of
     instantiated row tuples (length m+1, entries in 0..k).  Stops early when
-    the column code `stop` becomes derivable (unless stop < 0).
+    the column code `stop` becomes derivable (unless stop < 0); a stop
+    already in r0 returns r0 before any packing.
 
     Rounds scan the hypotheses in list order until a round adds nothing.  A
     scan reads the tuples of `_tuples` and adds each right column as it
@@ -202,13 +199,14 @@ def closure_mask(n, k, mats, r0, stop=-1):
     it could add nothing.  The tuples that add a column come in the
     unpruned order, so the result, `stop` included, is the same.
     """
+    r0 = seed[0]
     if stop >= 0 and (r0 >> stop) & 1:
         return r0
-    field, digits, full, scans = _start(n, k, mats, r0)
+    field, digits, full, scans = _start(n, k, mats, seed)
     size = None
     while size != len(full) and stop not in full:
         size = len(full)
-        for _mi, scan in scans:
+        for scan in scans:
             right = scan[3]
             for v in _tuples(scan, field, digits, full):
                 c = v >> right
@@ -225,14 +223,13 @@ def closure_mask(n, k, mats, r0, stop=-1):
     return r
 
 
-def closure_record(n, k, mats, r0, stop=-1):
+def closure_record(n, k, mats, seed, stop=-1):
     """closure_mask in batch rounds, with a witness for every derived column.
 
     Returns (mask, log).  The log maps each derived column code, in order
     of derivation, to (cost, hypothesis index, consumed codes) of its
-    witness: the hypothesis index is the position in mats, hypotheses
-    without rows included, and the consumed codes are the witness tuple's
-    left columns.
+    witness: the hypothesis index is the position in mats, and the
+    consumed codes are the witness tuple's left columns.
 
     Each round reads the tuples of `_tuples` for every hypothesis against
     the set as it was at the start of the round: the columns a round
@@ -243,14 +240,14 @@ def closure_record(n, k, mats, r0, stop=-1):
     round the log keeps the first with the fewest consumed columns outside
     r0, counted as distinct codes.
     """
-    field, digits, full, scans = _start(n, k, mats, r0)
+    field, digits, full, scans = _start(n, k, mats, seed)
     fresh = set()  # columns of the set that are not in r0
     log = {}
-    r = r0
+    r = seed[0]
     while stop not in full:
         size = len(log)
-        for mi, scan in scans:
-            _steps, left, _leaf, right = scan
+        for mi, scan in enumerate(scans):
+            left, right = scan[1], scan[3]
             for v in _tuples(scan, field, digits, full):
                 c = v >> right
                 consumed = tuple((v >> sh) & field for sh, _table in left)
@@ -270,8 +267,8 @@ def closure_record(n, k, mats, r0, stop=-1):
 
 # one entry per probe shape; enumeration passes the same probe tuples on
 # every call, so this hits on all but the first call per shape.  An entry
-# holds n! * len(rel_masks) bits per column code: about 51 KB for (4,1),
-# 22 KB for (3,2) and at most 1 KB for (2,1), (3,1) and (2,2)
+# holds n! * len(rel_masks) bits per column code: about 51 KB for (4,1) and
+# 1 KB each for (3,1) and (2,2), the probes that windows sign over
 @lru_cache(maxsize=16)
 def _perm_slices(n, base, rel_masks):
     """Bit slices of the relation masks under every permutation of the n
@@ -319,14 +316,10 @@ def sharp_bits(n, k, m, rows, rel_masks):
     bit per mask at the end.  On the 4 or 5 rows of a 4-row matrix over
     (4,1) this walks 35 or 70 tuples instead of 256 or 625.
 
-    Rules: each row becomes one int with a field of w = universe.bit_length()
-    bits per entry (field j holds entry j, the right entry in field m).
-    Row d of a tuple adds packed_row * (k+1)**d, which adds e_j * (k+1)**d to
-    every field j at once.  A field then holds a base-(k+1) number of at most
-    n digits, below universe = (k+1)**n < 2**w, so no field ever carries into
-    the next and field j of the sum is the code of column j.  The sums of the
-    first n-1 rows are built depth by depth, each with the index of its last
-    row; the last row is added on the fly, from that index on.
+    Rules: the rows are packed by `_steps`, so field j of a tuple's sum is
+    the code of column j.  The sums of the first n-1 rows are built depth by
+    depth, each with the index of its last row; the last row is added on the
+    fly, from that index on.
 
     A rule whose consequent is among its antecedents is dropped: a mask
     that contains the antecedent contains the consequent, so the rule holds
@@ -341,14 +334,12 @@ def sharp_bits(n, k, m, rows, rel_masks):
     width = len(rel_masks)
     blocks = math.factorial(n)
     slices = _perm_slices(n, base, tuple(rel_masks))
-    w = (base**n).bit_length()
+    w, steps = _steps(n, k, rows)
     field = (1 << w) - 1
-    packed = [sum(e << (w * j) for j, e in enumerate(row)) for row in rows]
     partial = [(0, 0)]
-    for d in range(n - 1):
-        step = [p * base**d for p in packed]
+    for step in steps[:-1]:
         partial = [(q + step[i], i) for q, lo in partial for i in range(lo, len(step))]
-    last = [p * base ** (n - 1) for p in packed]
+    last = steps[-1]
     shifts = [w * j for j in range(m)]
     right = w * m
     by_ant = {}

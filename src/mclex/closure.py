@@ -48,17 +48,15 @@ def _maps(row, k_source, k_target):
 
 
 # small on purpose: enumeration instantiates each candidate once, and large
-# alphabets make entries big; only the recurring representatives need to stay
+# alphabets make entries big; only the recurring representatives need to
+# stay.  Keyed by the matrix, whose hash is kept, so a decide's lookup
+# hashes no rows
 @lru_cache(maxsize=1 << 8)
-def _instantiate_cached(rows, k_source, k_target):
-    return tuple(dict.fromkeys(
-        apply_map(row, fmap) for row in rows for fmap in _maps(row, k_source, k_target)
-    ))
-
-
 def instantiate(M, k_target):
     """Deduplicated instantiated rows of M over the target alphabet."""
-    return _instantiate_cached(M.rows, M.k, k_target)
+    return tuple(dict.fromkeys(
+        apply_map(row, fmap) for row in M.rows for fmap in _maps(row, M.k, k_target)
+    ))
 
 
 def col_star_mask(N):
@@ -70,13 +68,17 @@ def col_star_mask(N):
     return mask
 
 
-# one entry per goal matrix.  compute_edges asks the goals of a window
-# over and over, one row of pairs at a time, so the cache holds every class
-# of (4,6,1) (1,066).  An entry holds about 0.2 KB, its matrix included
+# one entry per goal matrix, and the only per-goal cache of a decide.
+# compute_edges asks the goals of a window over and over, one row of pairs
+# at a time, so the cache holds every class of (4,7,1) (1,953): its
+# compute_edges hits on 149,535 of 151,170 lookups.  An entry holds the
+# goal's kernel seed, about 1.4 KB on (4,7,1), so at most 3 MB
 @lru_cache(maxsize=1 << 11)
 def _goal_codes(N):
-    """col*(N) as a column mask and the code of N's right column."""
-    return col_star_mask(N), encode_column(N.right_column, N.k + 1)
+    """The kernel seed of col*(N) (`_kernel._seed`: the column mask, its
+    digit lists and its column set) and the code of N's right column."""
+    seed = _kernel._seed(N.n, N.k, col_star_mask(N))
+    return seed, encode_column(N.right_column, N.k + 1)
 
 
 def saturate(S, N, record=False, stop_at_goal=True):
@@ -84,21 +86,24 @@ def saturate(S, N, record=False, stop_at_goal=True):
 
     Returns (mask, log); the log (record=True only) maps each derived column
     code, in order of derivation, to (cost, hypothesis_index,
-    consumed_codes) of its witness.  Both kernels read the same pruned
-    stream of row tuples and differ only in when a derived column joins the
-    set.  Without record `_kernel.closure_mask` adds each column at once;
-    with record `_kernel.closure_record` runs batch rounds (each round reads
-    the column set as it was at its start) and keeps, for each new column,
-    the first witness that consumes the fewest derived columns, so that a
+    consumed_codes) of its witness.  Both kernels start from the goal's
+    cached seed (`_goal_codes`) and S's cached rows (`instantiate`); a
+    verdict-only call that stops at a goal already in col*(N) returns
+    before packing the rows.  The kernels read the same pruned stream of
+    row tuples and differ only in when a derived column joins the set.
+    Without record `_kernel.closure_mask` adds each column at once; with
+    record `_kernel.closure_record` runs batch rounds (each round reads the
+    column set as it was at its start) and keeps, for each new column, the
+    first witness that consumes the fewest derived columns, so that a
     dependency-minimal certificate can be read off the log.
     """
     n, k = N.n, N.k
-    r0, goal = _goal_codes(N)
+    seed, goal = _goal_codes(N)
     stop = goal if stop_at_goal else -1
     mats = [(M.m, instantiate(M, k)) for M in S]
     if not record:
-        return _kernel.closure_mask(n, k, mats, r0, stop), None
-    return _kernel.closure_record(n, k, mats, r0, stop)
+        return _kernel.closure_mask(n, k, mats, seed, stop), None
+    return _kernel.closure_record(n, k, mats, seed, stop)
 
 
 # --- tableaux ---------------------------------------------------------------
@@ -146,12 +151,12 @@ class TableauProof(_Frozen):
 # a query's certificates share its one or two hypotheses, whose dicts are
 # kept small: their values outweigh instantiate's rows
 @lru_cache(maxsize=4)
-def _first_witnesses(rows, k_source, k_target):
-    """Each instantiated row of rows over the target alphabet mapped to the
+def _first_witnesses(M, k_target):
+    """Each instantiated row of M over the target alphabet mapped to the
     first (row index, variable map) giving it, in instantiate's order."""
     first = {}
-    for ri, row in enumerate(rows):
-        for fmap in _maps(row, k_source, k_target):
+    for ri, row in enumerate(M.rows):
+        for fmap in _maps(row, M.k, k_target):
             first.setdefault(apply_map(row, fmap), (ri, fmap))
     return first
 
@@ -175,7 +180,7 @@ def _build_proof(S, N, log, verdict):
 
     for code in codes:
         _cost, mi, consumed = log[code]
-        first = _first_witnesses(S[mi].rows, S[mi].k, N.k)
+        first = _first_witnesses(S[mi], N.k)
         added = decode_column(code, base, n)
         cols = [decode_column(c, base, n) for c in consumed]
         rows = [tuple(col[i] for col in cols) + (added[i],) for i in range(n)]

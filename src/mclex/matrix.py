@@ -126,9 +126,9 @@ class ExtendedMatrix(_Frozen):
         return NotImplemented
 
     # computed once: every decide looks its matrices up in the
-    # matrix-keyed caches (`is_trivial`, `_goal_codes`), and the Decider
-    # numbers matrices by them, so the nested row tuples would be hashed
-    # again on each lookup
+    # matrix-keyed caches (`is_trivial`, `_goal_codes`, `instantiate`,
+    # `_first_witnesses`, `_probe_bits`), and the Decider numbers matrices
+    # by them, so the nested row tuples would be hashed again on each lookup
     def __hash__(self):
         try:
             return self._hash

@@ -25,9 +25,6 @@ class PointedSet:
         if not (1 <= self.size <= MAX_CARRIER):
             raise ValueError(f"carrier size {self.size} outside 1..{MAX_CARRIER}")
 
-    def elements(self):
-        return range(self.size)
-
 
 @dataclass(frozen=True)
 class ConcreteRelation:

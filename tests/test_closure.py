@@ -60,6 +60,18 @@ def test_instantiate_into_star_only():
     assert rows == ((0, 0, 0, 0),)
 
 
+def test_equal_matrices_share_one_instantiation():
+    # instantiate is keyed by the matrix: an equal matrix built apart finds
+    # the entry of the first
+    instantiate.cache_clear()
+    again = parse_matrix(MALTSEV.text())
+    assert again == MALTSEV and again is not MALTSEV
+    rows = instantiate(MALTSEV, 2)
+    assert instantiate(again, 2) is rows
+    info = instantiate.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
 def test_instantiate_counts_before_dedup():
     # 2 rows x 3^2 pointed maps, deduplicated
     raw = [r for r in instantiate(MALTSEV, 2)]
@@ -92,7 +104,7 @@ def test_instantiate_maps_only_the_variables_a_row_uses():
         for k_target in range(3):
             want = reference_instances(M.rows, M.k, k_target)
             assert instantiate(M, k_target) == tuple(want), M
-            got = _first_witnesses(M.rows, M.k, k_target)
+            got = _first_witnesses(M, k_target)
             assert list(got.items()) == list(want.items()), M
 
 

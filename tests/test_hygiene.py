@@ -2,6 +2,7 @@
 reads each module of the package, and a fresh interpreter imports it."""
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -261,17 +262,27 @@ def test_cached_functions_detected():
     assert cached_functions(source) == ["a", "b", "line 7"]
 
 
+# each functools cache of the package and its maxsize, by module, in line
+# order; _goal_codes is the only per-goal cache of a decide
+CACHES = {
+    "_kernel.py": {"_packed": 32, "_perm_slices": 16},
+    "closure.py": {"instantiate": 1 << 8, "_goal_codes": 1 << 11, "_first_witnesses": 4},
+    "degeneracy.py": {"is_trivial": 1 << 12, "_row_view": 1 << 10},
+    "enumeration.py": {"_probe_masks": 16, "_probe_bits": 1 << 12},
+}
+
+
 def test_caches_are_named():
-    # each cache holds memory that no caller frees, so adding one means
-    # naming it here
+    # each cache holds memory that no caller frees, so adding one, or
+    # changing the bound its comment argues, means naming it here
     found = {p.name: cached_functions(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert {module: names for module, names in found.items() if names} == {
-        # _seed: one closure seed per goal column set, bounded at 2,048
-        "_kernel.py": ["_packed", "_seed", "_perm_slices"],
-        "closure.py": ["_instantiate_cached", "_goal_codes", "_first_witnesses"],
-        "degeneracy.py": ["is_trivial", "_row_view"],
-        "enumeration.py": ["_probe_masks", "_probe_bits"],
+        module: list(caches) for module, caches in CACHES.items()
     }
+    for module, caches in CACHES.items():
+        mod = importlib.import_module("mclex." + module.removesuffix(".py"))
+        got = {name: getattr(mod, name).cache_parameters()["maxsize"] for name in caches}
+        assert got == caches, module
 
 
 def _modules_loaded_by_import():

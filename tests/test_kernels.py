@@ -7,10 +7,10 @@ import pytest
 from conftest import MALTSEV, SUBTRACTION
 
 from mclex import _kernel
-from mclex.closure import col_star_mask, encode_column, instantiate
+from mclex.closure import _goal_codes, col_star_mask, decide, encode_column, instantiate
 from mclex.enumeration import _probe_masks, probes_for
 from mclex.localization import localize
-from mclex import classify, matrix
+from mclex import classify, matrix, parse_matrix
 
 
 def random_matrix(rng, n, m, k):
@@ -18,6 +18,16 @@ def random_matrix(rng, n, m, k):
     for _ in range(n):
         rows.append(tuple(rng.randrange(k + 1) for _ in range(m + 1)))
     return matrix(rows, k)
+
+
+def closure_mask(n, k, mats, r0, stop=-1):
+    """_kernel.closure_mask from the seed of the column set r0."""
+    return _kernel.closure_mask(n, k, mats, _kernel._seed(n, k, r0), stop)
+
+
+def closure_record(n, k, mats, r0, stop=-1):
+    """_kernel.closure_record from the seed of the column set r0."""
+    return _kernel.closure_record(n, k, mats, _kernel._seed(n, k, r0), stop)
 
 
 def reference_closure_mask(n, k, mats, r0, stop=-1):
@@ -104,8 +114,8 @@ def test_tuples_are_the_filtered_product():
     for n, k, mats, r0, _goal in _closure_cases(random.Random(2024))[::5]:
         weights = [(k + 1) ** i for i in range(n)]
         for r in (r0, r0 | rng.getrandbits((k + 1) ** n)):
-            field, digits, full, scans = _kernel._start(n, k, mats, r)
-            for mi, scan in scans:
+            field, digits, full, scans = _kernel._start(n, k, mats, _kernel._seed(n, k, r))
+            for mi, scan in enumerate(scans):
                 leaf = scan[2]
                 got = [
                     tuple((v >> sh) & field for sh, _table in leaf)
@@ -127,14 +137,14 @@ def test_tuples_are_the_filtered_product():
 
 def test_both_round_policies_reach_the_least_fixpoint():
     for n, k, mats, r0, _goal in _closure_cases(random.Random(2024)):
-        assert _kernel.closure_mask(n, k, mats, r0) == _kernel.closure_record(n, k, mats, r0)[0]
+        assert closure_mask(n, k, mats, r0) == closure_record(n, k, mats, r0)[0]
 
 
 def test_closure_mask_matches_reference():
     for n, k, mats, r0, goal in _closure_cases(random.Random(2024)):
         for stop in (-1, goal):
             expected = reference_closure_mask(n, k, mats, r0, stop)
-            assert _kernel.closure_mask(n, k, mats, r0, stop) == expected, (n, k, mats, r0, stop)
+            assert closure_mask(n, k, mats, r0, stop) == expected, (n, k, mats, r0, stop)
 
 
 def test_closure_mask_early_stop_after_a_column_is_added():
@@ -146,7 +156,7 @@ def test_closure_mask_early_stop_after_a_column_is_added():
             (0, 2, 0, 2), (1, 2, 1, 2), (2, 2, 2, 2))
     args = (3, 2, [(3, rows)], 32913, 13)
     assert reference_closure_mask(*args) == 0b11011011011011011
-    assert _kernel.closure_mask(*args) == 0b11011011011011011
+    assert closure_mask(*args) == 0b11011011011011011
 
 
 def reference_saturate_record(n, k, mats, r0, stop=-1):
@@ -191,34 +201,43 @@ def test_closure_record_matches_reference():
     for n, k, mats, r0, goal in _closure_cases(random.Random(2024)):
         for stop in (-1, goal):
             mask, log = reference_saturate_record(n, k, mats, r0, stop)
-            got, got_log = _kernel.closure_record(n, k, mats, r0, stop)
+            got, got_log = closure_record(n, k, mats, r0, stop)
             assert (got, list(got_log.items())) == (mask, list(log.items())), (
                 n, k, mats, r0, stop)
 
 
 def test_goal_seed_is_copied_not_shared():
     # the kernels grow the digit lists and set that _start copies from the
-    # goal's cached seed; calls with the same (n, k, r0) must each start
-    # from r0 alone, whatever the calls before them derived
+    # goal's cached seed; calls from the same seed must each start from
+    # col*(N) alone, whatever the calls before them derived
     rows = ((0, 0, 0, 0), (1, 1, 0, 1), (2, 2, 0, 2), (1, 0, 0, 1), (2, 0, 0, 2),
             (1, 0, 1, 0), (2, 0, 2, 0), (0, 1, 0, 1), (1, 1, 1, 1), (2, 1, 2, 1),
             (0, 2, 0, 2), (1, 2, 1, 2), (2, 2, 2, 2))
-    n, k, r0, goal = 3, 2, 32913, 13
-    _kernel._seed.cache_clear()
-    seed = _kernel._seed(n, k, r0)
-    grown = _kernel.closure_mask(n, k, [(3, rows)], r0)
+    N = matrix([(1, 1, 0, 1), (1, 2, 2, 1), (0, 0, 1, 1)])
+    n, k, r0 = N.n, N.k, col_star_mask(N)
+    seed, goal = _goal_codes(N)
+    assert (seed[0], goal) == (r0, 13) == (32913, 13)
+    grown = _kernel.closure_mask(n, k, [(3, rows)], seed)
     assert grown == reference_closure_mask(n, k, [(3, rows)], r0) and grown != r0
     # a hypothesis that derives nothing
     nothing = reference_closure_mask(n, k, [(3, rows[:1])], r0)
-    assert _kernel.closure_mask(n, k, [(3, rows[:1])], r0) == nothing == r0
-    assert _kernel.closure_mask(n, k, [(3, rows)], r0, goal) == 0b11011011011011011
+    assert _kernel.closure_mask(n, k, [(3, rows[:1])], seed) == nothing == r0
+    assert _kernel.closure_mask(n, k, [(3, rows)], seed, goal) == 0b11011011011011011
     expected = reference_saturate_record(n, k, [(3, rows)], r0, goal)
-    got, log = _kernel.closure_record(n, k, [(3, rows)], r0, goal)
+    got, log = _kernel.closure_record(n, k, [(3, rows)], seed, goal)
     assert (got, list(log.items())) == (expected[0], list(expected[1].items()))
-    assert _kernel._seed.cache_info().misses == 1
-    assert _kernel._seed(n, k, r0) == seed
-    _kernel._seed.cache_clear()
-    assert _kernel._seed(n, k, r0) == seed
+    assert _goal_codes(N)[0] is seed and seed == _kernel._seed(n, k, r0)
+
+
+def test_goal_in_col_star_packs_nothing():
+    # a verdict-only decide whose goal's right column is among its left
+    # columns (here the all-star column) returns before packing S
+    N = parse_matrix("1 * | * ; * 1 | *")
+    assert (_goal_codes(N)[0][0] >> _goal_codes(N)[1]) & 1
+    _kernel._packed.cache_clear()
+    assert decide([MALTSEV], [N]) == (True, [])
+    info = _kernel._packed.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
 
 
 # the Mal'tsev matrix with 97 more copies of its constant column (2, 2): 100
@@ -237,7 +256,7 @@ def test_closure_mask_wide_hypothesis():
     assert WIDE.m == 100
     for stop in (-1, goal):
         assert reference_closure_mask(n, k, mats, r0, stop) == 15
-        assert _kernel.closure_mask(n, k, mats, r0, stop) == 15
+        assert closure_mask(n, k, mats, r0, stop) == 15
 
 
 def test_closure_record_wide_hypothesis():
@@ -245,7 +264,7 @@ def test_closure_record_wide_hypothesis():
     for stop in (-1, goal):
         mask, log = reference_saturate_record(n, k, mats, r0, stop)
         assert mask == 15
-        got, got_log = _kernel.closure_record(n, k, mats, r0, stop)
+        got, got_log = closure_record(n, k, mats, r0, stop)
         assert (got, list(got_log.items())) == (mask, list(log.items()))
 
 
