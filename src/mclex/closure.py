@@ -148,17 +148,17 @@ class TableauProof(_Frozen):
         return [step.added for step in self.steps]
 
 
-# a query's certificates share its one or two hypotheses, whose dicts are
-# kept small: their values outweigh instantiate's rows
-@lru_cache(maxsize=4)
-def _first_witnesses(M, k_target):
-    """Each instantiated row of M over the target alphabet mapped to the
-    first (row index, variable map) giving it, in instantiate's order."""
-    first = {}
-    for ri, row in enumerate(M.rows):
-        for fmap in _maps(row, M.k, k_target):
-            first.setdefault(apply_map(row, fmap), (ri, fmap))
-    return first
+def _witness(M, row):
+    """The first (row index, variable map) of M that instantiates to row, in
+    instantiate's order: the first row of M that row fits, with the map it
+    forces and STAR for the variables it leaves out."""
+    for ri, pattern in enumerate(M.rows):
+        fmap = {}
+        for e, value in zip(pattern, row):
+            if value != STAR if e == STAR else fmap.setdefault(e, value) != value:
+                break
+        else:
+            return ri, tuple(fmap.get(v, STAR) for v in range(1, M.k + 1))
 
 
 def _build_proof(S, N, log, verdict):
@@ -180,12 +180,11 @@ def _build_proof(S, N, log, verdict):
 
     for code in codes:
         _cost, mi, consumed = log[code]
-        first = _first_witnesses(S[mi], N.k)
         added = decode_column(code, base, n)
         cols = [decode_column(c, base, n) for c in consumed]
         rows = [tuple(col[i] for col in cols) + (added[i],) for i in range(n)]
         steps.append(
-            TableauStep(added, tuple((mi,) + first[row] for row in rows), tuple(cols))
+            TableauStep(added, tuple((mi,) + _witness(S[mi], row) for row in rows), tuple(cols))
         )
     return TableauProof(N, tuple(S), tuple(steps), verdict)
 

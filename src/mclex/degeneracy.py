@@ -25,10 +25,12 @@ class DegeneracyClass(Enum):
     PROPER = "proper"
 
 
-# bounded: decide, loc_equal and the Decider ask again and again about
-# the same hypotheses, representatives and localizations.  classify sorts
-# its candidates with kind_of_rows, which reads only _row_view's cache;
-# the matrices it decides come here (186 of the 2,722 of (3,3,2))
+# bounded: decide asks of its hypotheses, and the Decider of what it
+# numbers, again and again about the same representatives and
+# localizations (hits on seed 1: classify 429 of 703, hasse 700 of 776,
+# localize 224 of 306, certify 944 of 1,760).  classify sorts candidates
+# with kind_of_rows, which reads only _row_view's cache; the matrices it
+# decides come here (186 of the 2,722 of (3,3,2))
 @lru_cache(maxsize=1 << 12)
 def is_trivial(M):
     """True when the matrix admits closed relations only in degenerate

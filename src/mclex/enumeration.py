@@ -549,16 +549,18 @@ def compute_groups(classes):
 def subposet_by_localization(classes, anchor):
     """Classes localization-equal to the anchor, with their induced order.
 
+    Localization keeps both degenerate kinds, so a degenerate anchor's
+    classes are those of its kind, with no decide.  For a proper anchor,
     `loc_equal` decides only the proper classes whose localized signature
     over `_EDGE_PROBES` equals the localized anchor's: the others are not
     loc-equal to it.
     """
-    sig = signature(localize(anchor), _EDGE_PROBES)
-    nodes = [
-        c for c in classes
-        if c.kind is DegeneracyClass.PROPER
-        and signature(localize(c.rep), _EDGE_PROBES) == sig and loc_equal(c.rep, anchor)
-    ]
+    kind = degeneracy_class(anchor)
+    nodes = [c for c in classes if c.kind is kind]
+    if kind is DegeneracyClass.PROPER:
+        sig = signature(localize(anchor), _EDGE_PROBES)
+        nodes = [c for c in nodes if signature(localize(c.rep), _EDGE_PROBES) == sig
+                 and loc_equal(c.rep, anchor)]
     reps = [c.rep for c in nodes]
     local = compute_edges(reps)
     reduced = transitive_reduction(len(reps), local)
@@ -575,16 +577,13 @@ def canonical(M, window=None):
     Meant for single queries: every call walks the window's candidate stream
     from its start. For the representatives of all classes, read the `rep`
     of each node of `classify(n, m, k).classes`, which is this same
-    candidate."""
+    candidate.  Each degenerate kind is one class, so a degenerate M's
+    answer is the first candidate of its kind, if the window has one."""
     if window is None:
         window = (M.n, M.m, M.k)
     n, m, k = window
     _check_window(n, m, k)
     kind = degeneracy_class(M)
-    if kind is DegeneracyClass.TRIVIAL:
-        return matrix([(1,)])
-    if kind is DegeneracyClass.ANTI_TRIVIAL:
-        return matrix([(STAR,)])
     probes = probes_for(n, k)
     sig_M = signature(M, probes)
     block_M = _probe_bits(M, probes[0])
@@ -595,10 +594,10 @@ def canonical(M, window=None):
     form_M = _normalize_rows(M.rows)
     forms_not_M = set()
     for rows in candidate_stream(n, m, k):
-        if kind_of_rows(rows) is not DegeneracyClass.PROPER:
+        if kind_of_rows(rows) is not kind:
             continue
         form = _normalize_rows(rows)
-        if form == form_M:
+        if kind is not DegeneracyClass.PROPER or form == form_M:
             return matrix(rows)
         if form in forms_not_M:
             continue

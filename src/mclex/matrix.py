@@ -125,10 +125,10 @@ class ExtendedMatrix(_Frozen):
             return (self.n, self.m, self.k, self.rows) == (other.n, other.m, other.k, other.rows)
         return NotImplemented
 
-    # computed once: every decide looks its matrices up in the
-    # matrix-keyed caches (`is_trivial`, `_goal_codes`, `instantiate`,
-    # `_first_witnesses`, `_probe_bits`), and the Decider numbers matrices
-    # by them, so the nested row tuples would be hashed again on each lookup
+    # computed once: a decide looks its matrices up in the matrix-keyed
+    # caches `is_trivial`, `_goal_codes` and `instantiate`, a signature in
+    # `_probe_bits`, and the Decider numbers matrices by them, so the nested
+    # row tuples would be hashed again on each lookup
     def __hash__(self):
         try:
             return self._hash

@@ -226,7 +226,7 @@ def test_canonical_command(capsys):
 
 @pytest.mark.parametrize("matrix", [
     "1 2 2 | 1 ; 2 1 2 | 1",
-    "1 2 | 1",  # trivial: its representative needs no window search
+    "1 2 | 1",  # trivial: the window is checked before any search
 ])
 @pytest.mark.parametrize("window", [
     ("0", "0", "0"),
@@ -238,6 +238,13 @@ def test_canonical_rejects_out_of_range_window(capsys, matrix, window):
     code, out, err = run(capsys, "canonical", matrix, "--window", *window)
     assert code == 2 and out == ""
     assert "error: window (" + ", ".join(window) + ")" in err
+
+
+def test_canonical_without_window_candidate(capsys):
+    # a window without variables has no trivial candidate
+    code, out, err = run(capsys, "canonical", "| 1", "--window", "2", "2", "0")
+    assert code == 2 and out == ""
+    assert "no window candidate" in err
 
 
 def test_loc_command(capsys):
@@ -355,6 +362,11 @@ def test_enumerate_with_artifacts(capsys, tmp_path):
 def test_enumerate_subposet(capsys):
     code, out, _ = run(capsys, "enumerate", "2", "3", "2", "--subposet-loc", "maltsev")
     assert code == 0 and "subposet (maltsev): 4 classes" in out
+
+
+def test_enumerate_subposet_of_degenerate_anchor(capsys):
+    code, out, _ = run(capsys, "enumerate", "2", "3", "2", "--subposet-loc", "| *")
+    assert code == 0 and "subposet (| *): 1 classes" in out
 
 
 def test_enumerate_checkpoint_corruption(capsys, tmp_path):

@@ -22,7 +22,7 @@ from conftest import (
 )
 from mclex import decide, decide_pair, matrix, parse_matrix, saturate
 from mclex.closure import (
-    _first_witnesses,
+    _witness,
     apply_map,
     check_tableau,
     col_star_mask,
@@ -104,8 +104,7 @@ def test_instantiate_maps_only_the_variables_a_row_uses():
         for k_target in range(3):
             want = reference_instances(M.rows, M.k, k_target)
             assert instantiate(M, k_target) == tuple(want), M
-            got = _first_witnesses(M, k_target)
-            assert list(got.items()) == list(want.items()), M
+            assert {row: _witness(M, row) for row in instantiate(M, k_target)} == want, M
 
 
 # --- saturation --------------------------------------------------------------
@@ -285,6 +284,38 @@ def test_recorded_tableaux_digest_3x3x2():
         _verdict, tableaux = decide([A], [B], record=True)
         h.update(json.dumps([tableau_to_json(t) for t in tableaux], sort_keys=True).encode())
     assert h.hexdigest() == SEED_TABLEAU_DIGEST
+
+
+# sha256 over the tableau JSON of 120 recorded decides that the (3,3,2)
+# digest does not reach: two hypotheses (so witnesses of hypothesis 1), two
+# goals, and matrices of (4,4,1)
+MIXED_TABLEAU_DIGEST = "e02469668387bca2914395af67081f82ddb1df11faa779acea65b9e8667a48bd"
+
+
+def test_recorded_tableaux_digest_mixed_queries():
+    from mclex import candidate_stream, degeneracy_class
+    from mclex.degeneracy import DegeneracyClass
+
+    pools = {
+        w: [M for M in map(matrix, candidate_stream(*w))
+            if degeneracy_class(M) is DegeneracyClass.PROPER]
+        for w in [(3, 3, 2), (4, 4, 1)]
+    }
+    rng = random.Random(1)
+    h = hashlib.sha256()
+    second_hypothesis = 0
+    for window, hyps, goals in [((3, 3, 2), 2, 1), ((3, 3, 2), 1, 2),
+                                ((4, 4, 1), 1, 1), ((4, 4, 1), 2, 1)]:
+        for _ in range(30):
+            drawn = rng.sample(pools[window], hyps + goals)
+            _verdict, tableaux = decide(drawn[:hyps], drawn[hyps:], record=True)
+            assert len(tableaux) == goals
+            second_hypothesis += sum(
+                step.witnesses[0][0] == 1 for t in tableaux for step in t.steps[1:]
+            )
+            h.update(json.dumps([tableau_to_json(t) for t in tableaux], sort_keys=True).encode())
+    assert second_hypothesis > 0
+    assert h.hexdigest() == MIXED_TABLEAU_DIGEST
 
 
 def test_hand_transcribed_tableau():

@@ -8,7 +8,15 @@ import sys
 
 import pytest
 
-from conftest import MALTSEV, SU2, SU2_CANON, SU3, TRIVIAL, classified as _classified
+from conftest import (
+    ANTI_TRIVIAL,
+    MALTSEV,
+    SU2,
+    SU2_CANON,
+    SU3,
+    TRIVIAL,
+    classified as _classified,
+)
 
 import mclex
 from mclex import (
@@ -410,6 +418,18 @@ def test_subposets_equal_unfiltered_reference(window):
         assert got == want, name
 
 
+@pytest.mark.parametrize("window", [(2, 3, 2), (3, 3, 2)], ids=str)
+def test_subposets_of_degenerate_anchors(window):
+    # localization keeps both degenerate kinds, so a degenerate anchor's
+    # subposet is the class of its kind, as loc_equal over every class finds
+    classes = _classified(window).classes
+    for anchor in (ANTI_TRIVIAL, TRIVIAL):
+        nodes, edges, reduced = subposet_by_localization(classes, anchor)
+        assert [c.id for c in nodes] == [c.id for c in classes if loc_equal(c.rep, anchor)]
+        assert [c.kind for c in nodes] == [degeneracy_class(anchor)]
+        assert edges == reduced == set()
+
+
 def test_subposets_decide_only_signature_equal_classes(monkeypatch):
     # over the four anchors, the 29 proper classes of (3,6,1) took 116
     # loc_equal calls without the filter; the 8 left are the 8 that hold.
@@ -506,6 +526,16 @@ def transitive_closure_equals(count, reduced, full):
 def test_canonical_degenerate():
     assert canonical(TRIVIAL).text() == "| 1"
     assert canonical(parse_matrix("1 | 1")).text() == "| *"
+    # the first candidate of the matrix's kind, as classify names its class
+    reps = {c.kind: c.rep for c in _classified((2, 3, 2)).classes}
+    for M in map(matrix, candidate_stream(2, 3, 2)):
+        kind = degeneracy_class(M)
+        if kind is not DegeneracyClass.PROPER:
+            assert canonical(M, (2, 3, 2)) == reps[kind], M
+    assert canonical(ANTI_TRIVIAL, (2, 2, 0)).text() == "| *"
+    # a window without variables has no trivial candidate
+    with pytest.raises(ValueError, match="no window candidate"):
+        canonical(TRIVIAL, (2, 2, 0))
 
 
 def test_canonical_strongly_unital_two_rows():

@@ -266,7 +266,7 @@ def test_cached_functions_detected():
 # order; _goal_codes is the only per-goal cache of a decide
 CACHES = {
     "_kernel.py": {"_packed": 32, "_perm_slices": 16},
-    "closure.py": {"instantiate": 1 << 8, "_goal_codes": 1 << 11, "_first_witnesses": 4},
+    "closure.py": {"instantiate": 1 << 8, "_goal_codes": 1 << 11},
     "degeneracy.py": {"is_trivial": 1 << 12, "_row_view": 1 << 10},
     "enumeration.py": {"_probe_masks": 16, "_probe_bits": 1 << 12},
 }

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -18,6 +19,7 @@ from mclex import (
     decide,
     decide_pair,
     is_admissible,
+    is_anti_trivial,
     is_trivial,
     loc_bottom,
     loc_equal,
@@ -126,14 +128,31 @@ def test_loc_equal_equivalence_relation():
                     assert loc_equal(A, C)
 
 
-@pytest.mark.parametrize("window", [(3, 3, 2), (4, 3, 1)], ids=str)
+def _degenerate_and_proper():
+    """Trivial and anti-trivial candidates of (3,3,2) among proper ones."""
+    rng = random.Random(11)
+    mats = [matrix(rows) for rows in candidate_stream(3, 3, 2)]
+    trivial = [M for M in mats if is_trivial(M)]
+    anti = [M for M in mats if is_anti_trivial(M)]
+    return (rng.sample(trivial, 8) + rng.sample(anti, 4)
+            + _random_proper((3, 3, 2), 6, seed=11) + [TRIVIAL, ANTI_TRIVIAL])
+
+
+@pytest.mark.parametrize("window", [(3, 3, 2), (4, 3, 1), "degenerate"], ids=str)
 def test_loc_equal_is_two_decides_on_localized_matrices(window):
-    mats = _random_proper(window, 12, seed=sum(window) + 2)
+    if window == "degenerate":
+        mats = _degenerate_and_proper()
+    else:
+        mats = _random_proper(window, 12, seed=sum(window) + 2)
     agree = 0
     for A, B in itertools.combinations(mats, 2):
         la, lb = localize(A), localize(B)
         expected = decide([la], [lb])[0] and decide([lb], [la])[0]
-        assert loc_equal(A, B) == expected, (A, B)
+        assert loc_equal(A, B) == loc_equal(B, A) == expected, (A, B)
+        if is_trivial(A) or is_trivial(B):
+            # localization keeps triviality, a trivial hypothesis implies
+            # everything and a non-trivial one no trivial goal
+            assert expected == (is_trivial(A) and is_trivial(B)), (A, B)
         agree += expected
     assert agree  # some pairs are localization-equal
 
