@@ -25,9 +25,9 @@ intersection of generic join, bit-parallel over the rows) instead of one
 prefix test per row.  A partial tuple is dropped as soon as one of its
 partial left columns is no prefix of a column in the set, and a complete
 tuple whose right column is in the set is never visited.  A goal's seed,
-built by `_seed` and cached per goal by the caller, holds the digit lists
-and set of its starting columns; each call copies them, since the scans
-grow them.
+built by `_seed` and cached per goal by the caller, holds the mask r0 of
+its columns, their digit lists and the field mask; a call copies the digit
+lists and keeps the set as them and one int mask, grown together.
 
 Both closure kernels read one stream of the surviving tuples, `_tuples`, in
 the order of the unpruned scan, under two round policies.  `closure_mask`
@@ -100,66 +100,60 @@ def _packed(n, k, m, rows):
     return steps, tuple(tables[:m]), tuple(tables), w * m
 
 
-def _extend(level, step, tables, field, known, full):
+def _extend(level, step, tables, field, known, added):
     """The tuples one row longer than those of level that pass the tables,
     in itertools.product order.
 
     The rows that extend a tuple acc, the AND of one row-table entry per
-    table, come in row order.  When full has grown since that mask was
-    computed, the rows after the last one yielded are computed again: the
-    set only grows, so rows that failed before may pass now, and narrowing
-    the old mask would drop them.
+    table, come in row order.  When added, the columns added so far, has
+    grown since that mask was computed, the rows after the last one
+    yielded are computed again: the set only grows, so rows that failed
+    before may pass now, and narrowing the old mask would drop them.
     """
     every = (1 << len(step)) - 1
     for acc in level:
         todo = every
         while todo:
-            size = len(full)
+            size = len(added)
             for sh, table in tables:
                 todo &= table[known[(acc >> sh) & field]]
             while todo:
                 low = todo & -todo
                 todo ^= low
                 yield acc + step[low.bit_length() - 1]
-                if len(full) != size:
+                if len(added) != size:
                     todo = every & -(low << 1)
                     break
 
 
-def _tuples(scan, field, digits, full):
+def _tuples(scan, field, digits, added):
     """The complete row tuples of one packed hypothesis that pass its row
     tables, as packed sums: one _extend per depth, leaf at the last."""
     steps, left, leaf, _right = scan
     level = (0,)
     for d, step in enumerate(steps):
         tables = leaf if d == len(steps) - 1 else left
-        level = _extend(level, step, tables, field, digits[d], full)
+        level = _extend(level, step, tables, field, digits[d], added)
     return level
 
 
 def _seed(n, k, r0):
     """The closure kernels' start from the column set r0: r0, the digit
-    lists of its columns as tuples, and those columns as a frozenset."""
+    lists of its columns as tuples, and the field mask of (n, k)."""
     base = k + 1
     digits = [[0] * base**d for d in range(n)]
-    full = []
     rest = r0
     while rest:
         low = rest & -rest
-        c = low.bit_length() - 1
-        _add(digits, c, base)
-        full.append(c)
+        _add(digits, low.bit_length() - 1, base)
         rest ^= low
-    return r0, tuple(map(tuple, digits)), frozenset(full)
+    return r0, tuple(map(tuple, digits)), (1 << (base**n).bit_length()) - 1
 
 
 def _start(n, k, mats, seed):
-    """Shared set-up of the closure kernels: the field mask, fresh copies
-    of the seed's digit lists and column set, and the packed hypotheses."""
-    _r0, digits, full = seed
-    scans = [_packed(n, k, m, tuple(rows)) for m, rows in mats]
-    field = (1 << ((k + 1) ** n).bit_length()) - 1
-    return field, list(map(list, digits)), set(full), scans
+    """Shared set-up of the closure kernels: fresh copies of the seed's
+    digit lists, which the scans grow, and the packed hypotheses."""
+    return list(map(list, seed[1])), [_packed(n, k, m, tuple(rows)) for m, rows in mats]
 
 
 def _add(digits, c, base):
@@ -183,10 +177,11 @@ def closure_mask(n, k, mats, seed, stop=-1):
     already in r0 returns r0 before any packing.
 
     Rounds scan the hypotheses in list order until a round adds nothing.  A
-    scan reads the tuples of `_tuples` and adds each right column as it
-    arrives; the stream reads the grown set, so a column added mid-scan
-    counts for the tuples after it, as in the unpruned scan of every n-tuple
-    of rows in itertools.product order (first coordinate outermost).
+    scan reads the tuples of `_tuples` and adds each right column to the
+    digit lists and the mask as it arrives; the stream reads the grown set,
+    so a column added mid-scan counts for the tuples after it, as in the
+    unpruned scan of every n-tuple of rows in itertools.product order
+    (first coordinate outermost).
 
     Prefix pruning: the first d rows of a tuple fix the low d digits of
     each column.  Row d may follow them only if its entry in every left
@@ -199,27 +194,24 @@ def closure_mask(n, k, mats, seed, stop=-1):
     it could add nothing.  The tuples that add a column come in the
     unpruned order, so the result, `stop` included, is the same.
     """
-    r0 = seed[0]
-    if stop >= 0 and (r0 >> stop) & 1:
-        return r0
-    field, digits, full, scans = _start(n, k, mats, seed)
+    r, _digits, field = seed
+    if stop >= 0 and (r >> stop) & 1:
+        return r
+    digits, scans = _start(n, k, mats, seed)
+    added = []
     size = None
-    while size != len(full) and stop not in full:
-        size = len(full)
+    while size != len(added):
+        size = len(added)
         for scan in scans:
             right = scan[3]
-            for v in _tuples(scan, field, digits, full):
+            for v in _tuples(scan, field, digits, added):
                 c = v >> right
                 # the leaf table leaves out known right columns, so c is new
                 _add(digits, c, k + 1)
-                full.add(c)
+                added.append(c)
+                r |= 1 << c
                 if c == stop:
-                    break
-            if stop in full:
-                break
-    r = r0
-    for c in full:
-        r |= 1 << c
+                    return r
     return r
 
 
@@ -238,20 +230,22 @@ def closure_record(n, k, mats, seed, stop=-1):
     adds nothing, or when `stop` (unless < 0) is in the set; the goal is
     checked only between rounds.  Of the tuples deriving a new column in a
     round the log keeps the first with the fewest consumed columns outside
-    r0, counted as distinct codes.
+    r0, counted as distinct codes: those among the log's keys, since a
+    tuple consumes only columns of the set its round started from, and the
+    round logs only columns outside that set.
     """
-    field, digits, full, scans = _start(n, k, mats, seed)
-    fresh = set()  # columns of the set that are not in r0
+    r, _digits, field = seed
+    goal = 1 << stop if stop >= 0 else 0
+    digits, scans = _start(n, k, mats, seed)
     log = {}
-    r = seed[0]
-    while stop not in full:
+    while not r & goal:
         size = len(log)
         for mi, scan in enumerate(scans):
             left, right = scan[1], scan[3]
-            for v in _tuples(scan, field, digits, full):
+            for v in _tuples(scan, field, digits, ()):
                 c = v >> right
                 consumed = tuple((v >> sh) & field for sh, _table in left)
-                cost = len(fresh.intersection(consumed))
+                cost = len(log.keys() & consumed)
                 best = log.get(c)
                 if best is None or cost < best[0]:
                     log[c] = (cost, mi, consumed)
@@ -259,8 +253,6 @@ def closure_record(n, k, mats, seed, stop=-1):
             break
         for c in list(log)[size:]:
             _add(digits, c, k + 1)
-            full.add(c)
-            fresh.add(c)
             r |= 1 << c
     return r, log
 

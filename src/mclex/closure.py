@@ -72,11 +72,11 @@ def col_star_mask(N):
 # compute_edges asks the goals of a window over and over, one row of pairs
 # at a time, so the cache holds every class of (4,7,1) (1,953): its
 # compute_edges hits on 149,535 of 151,170 lookups.  An entry holds the
-# goal's kernel seed, about 1.4 KB on (4,7,1), so at most 3 MB
+# goal's kernel seed, about 0.65 KB on (4,7,1), so at most 1.4 MB
 @lru_cache(maxsize=1 << 11)
 def _goal_codes(N):
     """The kernel seed of col*(N) (`_kernel._seed`: the column mask, its
-    digit lists and its column set) and the code of N's right column."""
+    digit lists and the field mask) and the code of N's right column."""
     seed = _kernel._seed(N.n, N.k, col_star_mask(N))
     return seed, encode_column(N.right_column, N.k + 1)
 
@@ -90,11 +90,12 @@ def saturate(S, N, record=False, stop_at_goal=True):
     cached seed (`_goal_codes`) and S's cached rows (`instantiate`); a
     verdict-only call that stops at a goal already in col*(N) returns
     before packing the rows.  The kernels read the same pruned stream of
-    row tuples and differ only in when a derived column joins the set.
-    Without record `_kernel.closure_mask` adds each column at once; with
-    record `_kernel.closure_record` runs batch rounds (each round reads the
-    column set as it was at its start) and keeps, for each new column, the
-    first witness that consumes the fewest derived columns, so that a
+    row tuples, keep the column set as digit lists and one int mask, and
+    differ only in when a derived column joins the set.  Without record
+    `_kernel.closure_mask` adds each column at once; with record
+    `_kernel.closure_record` runs batch rounds (each round reads the column
+    set as it was at its start) and keeps, for each new column, the first
+    witness that consumes the fewest derived columns, so that a
     dependency-minimal certificate can be read off the log.
     """
     n, k = N.n, N.k

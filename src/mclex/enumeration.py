@@ -587,25 +587,24 @@ def canonical(M, window=None):
     probes = probes_for(n, k)
     sig_M = signature(M, probes)
     block_M = _probe_bits(M, probes[0])
-    # candidates with one normal form share a class, so a candidate with
-    # M's form is equivalent to M, and one with the form of a candidate
-    # found not equivalent is not; the others take their other probes only
-    # when their first probe block is M's
+    # candidates with one normal form share a class, so one with M's form is
+    # equivalent to M.  A batch's first proper candidate with a given form
+    # is that form, so one that is not its own form shares the class of an
+    # earlier one, found not equivalent.  The others take their other
+    # probes only when their first probe block is M's
     form_M = _normalize_rows(M.rows)
-    forms_not_M = set()
     for rows in candidate_stream(n, m, k):
         if kind_of_rows(rows) is not kind:
             continue
         form = _normalize_rows(rows)
         if kind is not DegeneracyClass.PROPER or form == form_M:
             return matrix(rows)
-        if form in forms_not_M:
+        if form != rows:
             continue
         C = matrix(rows)
         if (_probe_bits(C, probes[0]) == block_M and signature(C, probes) == sig_M
                 and _equiv(C, M)):
             return C
-        forms_not_M.add(form)
     raise ValueError("no window candidate is equivalent to the matrix")
 
 
@@ -632,9 +631,10 @@ def _load_checkpoint(directory, n, m, k):
     candidate.  One walk of the done batches, with a cursor on the listed
     classes, checks that and takes each class's rows from the stream; every
     candidate joins one class, so the members add up to the candidates.
-    A class listed at a later member instead of its first still resumes,
-    with that member as its representative: telling the two apart takes
-    the decides that classify makes, and the walk makes none."""
+    A listed proper class must be its own normal form, as a batch's first
+    candidate of each form is.  A later member of another form still
+    resumes, with that member as its representative: telling the two apart
+    takes the decides that classify makes, and the walk makes none."""
     path = directory and _ckpt_path(directory, n, m, k)
     if not path or not os.path.exists(path):
         return [], []
@@ -687,6 +687,9 @@ def _load_checkpoint(directory, n, m, k):
                                  f"is not listed as classes[{i}]")
             elif rows != wanted[i]:
                 continue
+            elif _normalize_rows(rows) != rows:
+                raise refuse(f"classes[{i}], {matrix(rows).text()}, is not its own "
+                             "normal form, so not the first member of its class")
             if listed[i].get("kind") != kind.value:
                 raise refuse(f"classes[{i}].kind is not the kind of its rows")
             members = listed[i].get("members")

@@ -2,6 +2,7 @@
 the test suite."""
 
 import functools
+import json
 import os
 
 import pytest
@@ -52,3 +53,20 @@ MINORITY = matrix([(1, 2, 2, 1), (2, 1, 2, 1), (2, 2, 1, 1)])
 # Three-row matrix equivalent to the subtraction matrix (normality of
 # projections refinement).
 NORMAL_PROJECTIONS = parse_matrix("1 1 * | 1 ; 1 * 1 | * ; 1 * * | 1")
+
+
+# a later candidate of SU2_CANON's class in (2, 3, 2), and not its own
+# normal form
+LATER_MEMBER = "1 2 2 | 1 ; * 1 * | 1"
+
+
+def write_later_member_checkpoint(directory):
+    """Write a full (2, 3, 2) checkpoint into the directory (a Path) that
+    lists SU2_CANON's class at LATER_MEMBER; such a checkpoint used to
+    resume with that member as the class's representative."""
+    classify(2, 3, 2, checkpoint_dir=str(directory))
+    path = directory / "classify_2_3_2.json"
+    state = json.loads(path.read_text())
+    (rec,) = [c for c in state["classes"] if c["rows"] == [list(r) for r in SU2_CANON.rows]]
+    rec["rows"] = [list(r) for r in parse_matrix(LATER_MEMBER).rows]
+    path.write_text(json.dumps(state))

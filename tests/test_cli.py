@@ -2,6 +2,7 @@ import json
 import time
 
 import pytest
+from conftest import write_later_member_checkpoint
 
 from mclex import __version__
 from mclex.cli import main
@@ -446,6 +447,16 @@ def test_enumerate_checkpoint_without_a_degenerate_class(capsys, tmp_path):
     )
     assert code == 2 and "error:" in err and "first anti-trivial candidate" in err
     assert out == ""
+
+
+def test_enumerate_checkpoint_later_member(capsys, tmp_path):
+    write_later_member_checkpoint(tmp_path)
+    code, out, err = run(
+        capsys, "enumerate", "2", "3", "2", "--checkpoint", str(tmp_path)
+    )
+    assert code == 2 and "error:" in err and "is not its own normal form" in err
+    assert out == ""
+
 
 # --- error handling ----------------------------------------------------------
 

@@ -455,6 +455,21 @@ def test_tableau_json_refuses_bad_map_token(token):
         tableau_from_json(data)
 
 
+def test_tableau_json_refuses_entries_of_another_type():
+    # a column that is a list of non-strings or no list, and a hypothesis
+    # that is not a string, each fail with their own message
+    for column in ([1, "*"], ["1", None], "1 *"):
+        data = _maltsev_proof_json()
+        data["steps"][-1]["consumed"][0] = column
+        with pytest.raises(ValueError, match="a column must be a list of strings"):
+            tableau_from_json(data)
+    for hypothesis in (["1 * | 1"], 3, None):
+        data = _maltsev_proof_json()
+        data["hypotheses"][0] = hypothesis
+        with pytest.raises(ValueError, match="a hypothesis must be a string"):
+            tableau_from_json(data)
+
+
 def test_tableau_json_reads_long_tokens():
     data = _maltsev_proof_json()
     data["steps"][-1]["added"][0] = "10"

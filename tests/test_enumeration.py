@@ -15,7 +15,9 @@ from conftest import (
     SU2_CANON,
     SU3,
     TRIVIAL,
+    LATER_MEMBER,
     classified as _classified,
+    write_later_member_checkpoint,
 )
 
 import mclex
@@ -34,7 +36,7 @@ from mclex import (
     window_caps,
 )
 from mclex.closure import decide, instantiate
-from mclex.degeneracy import DegeneracyClass, degeneracy_class, is_trivial
+from mclex.degeneracy import DegeneracyClass, degeneracy_class, is_trivial, kind_of_rows
 from mclex.enumeration import (
     _EDGE_PROBES,
     CheckpointError,
@@ -870,6 +872,19 @@ def test_normal_forms_keep_the_candidate_shape(window):
         assert (len(form), len(form[0])) == (len(rows), len(rows[0])), rows
 
 
+@pytest.mark.parametrize("window", [(2, 3, 2), (3, 3, 2), (4, 3, 1), (2, 5, 3)], ids=str)
+def test_first_proper_candidate_of_a_form_is_the_form(window):
+    # so a checkpoint's proper class is its own normal form, and canonical
+    # skips a candidate that is not: its form's class came earlier
+    for _shape, batch in candidate_batches(*window):
+        forms = set()
+        for rows in batch:
+            if kind_of_rows(rows) is DegeneracyClass.PROPER:
+                form = _normalize_rows(rows)
+                assert (form == rows) == (form not in forms), rows
+                forms.add(form)
+
+
 # --- checkpointing -----------------------------------------------------------
 
 
@@ -927,6 +942,8 @@ def test_checkpoint_not_utf8(tmp_path):
 
 
 _GOOD_CLASS = {"rows": [[1]], "kind": "trivial", "members": 1}
+# `| *`, the first candidate of the first batch, (1, 0)
+_STAR = {"rows": [[0]], "kind": "anti-trivial", "members": 1}
 # what a checkpoint of (2, 3, 2) written by this build is stamped with
 _STAMP = {"version": mclex.__version__, "probes": [[3, 1], [2, 2]]}
 
@@ -946,14 +963,14 @@ _STAMP = {"version": mclex.__version__, "probes": [[3, 1], [2, 2]]}
          "classes": [dict(_GOOD_CLASS, rows=[[1, 2], [1]])]},
         {**_STAMP, "params": [2, 3, 2], "done_batches": [],
          "classes": [dict(_GOOD_CLASS, rows=[5])]},
-        {**_STAMP, "params": [2, 3, 2], "done_batches": [],
-         "classes": [dict(_GOOD_CLASS, kind="odd")]},
-        {**_STAMP, "params": [2, 3, 2], "done_batches": [],
-         "classes": [dict(_GOOD_CLASS, kind=["proper"])]},
-        {**_STAMP, "params": [2, 3, 2], "done_batches": [],
-         "classes": [dict(_GOOD_CLASS, members="1")]},
-        {**_STAMP, "params": [2, 3, 2], "done_batches": [],
-         "classes": [{"rows": [[1]], "kind": "trivial"}]},
+        {**_STAMP, "params": [2, 3, 2], "done_batches": [[1, 0]],
+         "classes": [dict(_STAR, kind="odd")]},
+        {**_STAMP, "params": [2, 3, 2], "done_batches": [[1, 0]],
+         "classes": [dict(_STAR, kind=["proper"])]},
+        {**_STAMP, "params": [2, 3, 2], "done_batches": [[1, 0]],
+         "classes": [dict(_STAR, members="1")]},
+        {**_STAMP, "params": [2, 3, 2], "done_batches": [[1, 0]],
+         "classes": [{"rows": [[0]], "kind": "anti-trivial"}]},
         # well formed, but no state _save_checkpoint writes: a class with
         # more rows, columns or variables than the window's caps allow
         # (the last a 4 x 7 class that uses variable 9)
@@ -967,7 +984,7 @@ _STAMP = {"version": mclex.__version__, "probes": [[3, 1], [2, 2]]}
          "classes": [dict(_GOOD_CLASS, rows=[[9] * 8] * 4)]},
         # a kind other than the rows' own
         {**_STAMP, "params": [2, 3, 2], "done_batches": [[1, 0]],
-         "classes": [dict(_GOOD_CLASS, kind="proper")]},
+         "classes": [dict(_STAR, kind="proper")]},
         # a class of a batch that is not done
         {**_STAMP, "params": [2, 3, 2], "done_batches": [],
          "classes": [_GOOD_CLASS]},
@@ -982,6 +999,25 @@ def test_checkpoint_malformed_state(tmp_path, state):
     (tmp_path / "classify_2_3_2.json").write_text(json.dumps(state))
     with pytest.raises(CheckpointError):
         classify(2, 3, 2, checkpoint_dir=str(tmp_path))
+
+
+@pytest.mark.parametrize(
+    "change, problem",
+    [({"kind": "proper"}, "kind is not the kind of its rows"),
+     ({"members": "1"}, "members"), ({"members": 0}, "members"),
+     ({"members": True}, "members")],
+    ids=["kind", "members-text", "members-zero", "members-true"],
+)
+def test_checkpoint_class_fields_checked(tmp_path, change, problem):
+    # batch (1, 0) is `| *` and `| 1`, one class each
+    classes = [dict(_STAR, **change), _GOOD_CLASS]
+    state = {**_STAMP, "params": [2, 3, 2], "done_batches": [[1, 0]], "classes": classes}
+    (tmp_path / "classify_2_3_2.json").write_text(json.dumps(state))
+    with pytest.raises(CheckpointError, match=rf"classes\[0\]\.{problem}$"):
+        classify(2, 3, 2, checkpoint_dir=str(tmp_path))
+    state["classes"][0] = _STAR
+    (tmp_path / "classify_2_3_2.json").write_text(json.dumps(state))
+    assert len(classify(2, 3, 2, checkpoint_dir=str(tmp_path)).classes) == 6
 
 
 def test_checkpoint_records_stamp(tmp_path):
@@ -1096,6 +1132,16 @@ def test_checkpoint_with_swapped_classes_refused(tmp_path):
     classes[first], classes[second] = classes[second], classes[first]
     path.write_text(json.dumps(state))
     with pytest.raises(CheckpointError, match="no done batch generates"):
+        classify(2, 3, 2, checkpoint_dir=str(tmp_path))
+
+
+def test_checkpoint_later_member_refused(tmp_path):
+    # a later member of SU2_CANON's class, whose normal form is SU2_CANON
+    later = parse_matrix(LATER_MEMBER)
+    assert canonical(later) == SU2_CANON == normalize(later) != later
+    write_later_member_checkpoint(tmp_path)
+    with pytest.raises(CheckpointError, match=r"classes\[5\], 1 2 2 \| 1 ; \* 1 \* \| 1, "
+                                              "is not its own normal form"):
         classify(2, 3, 2, checkpoint_dir=str(tmp_path))
 
 

@@ -114,12 +114,14 @@ def test_tuples_are_the_filtered_product():
     for n, k, mats, r0, _goal in _closure_cases(random.Random(2024))[::5]:
         weights = [(k + 1) ** i for i in range(n)]
         for r in (r0, r0 | rng.getrandbits((k + 1) ** n)):
-            field, digits, full, scans = _kernel._start(n, k, mats, _kernel._seed(n, k, r))
+            seed = _kernel._seed(n, k, r)
+            field = seed[2]
+            digits, scans = _kernel._start(n, k, mats, seed)
             for mi, scan in enumerate(scans):
                 leaf = scan[2]
                 got = [
                     tuple((v >> sh) & field for sh, _table in leaf)
-                    for v in _kernel._tuples(scan, field, digits, full)
+                    for v in _kernel._tuples(scan, field, digits, ())
                 ]
                 m, rows = mats[mi]
                 every = [
@@ -128,7 +130,7 @@ def test_tuples_are_the_filtered_product():
                 ]
                 expected = [
                     codes for codes in every
-                    if all(c in full for c in codes[:-1]) and codes[-1] not in full
+                    if all((r >> c) & 1 for c in codes[:-1]) and not (r >> codes[-1]) & 1
                 ]
                 assert got == expected, (n, k, mats[mi], r)
                 passed += len(got)
@@ -207,16 +209,24 @@ def test_closure_record_matches_reference():
 
 
 def test_goal_seed_is_copied_not_shared():
-    # the kernels grow the digit lists and set that _start copies from the
-    # goal's cached seed; calls from the same seed must each start from
-    # col*(N) alone, whatever the calls before them derived
+    # the kernels grow the digit lists that _start copies from the goal's
+    # cached seed; calls from the same seed must each start from col*(N)
+    # alone, whatever the calls before them derived
     rows = ((0, 0, 0, 0), (1, 1, 0, 1), (2, 2, 0, 2), (1, 0, 0, 1), (2, 0, 0, 2),
             (1, 0, 1, 0), (2, 0, 2, 0), (0, 1, 0, 1), (1, 1, 1, 1), (2, 1, 2, 1),
             (0, 2, 0, 2), (1, 2, 1, 2), (2, 2, 2, 2))
     N = matrix([(1, 1, 0, 1), (1, 2, 2, 1), (0, 0, 1, 1)])
     n, k, r0 = N.n, N.k, col_star_mask(N)
     seed, goal = _goal_codes(N)
-    assert (seed[0], goal) == (r0, 13) == (32913, 13)
+    # the seed is r0, its digit lists as tuples and the field mask of (3, 2)
+    digits = [[0] * 3**d for d in range(3)]
+    for c in range(27):
+        if (r0 >> c) & 1:
+            for d in range(3):
+                digits[d][c % 3**d] |= 1 << (c // 3**d % 3)
+    built = (r0, tuple(map(tuple, digits)), (1 << 5) - 1)
+    assert seed == built
+    assert (r0, goal) == (32913, 13)
     grown = _kernel.closure_mask(n, k, [(3, rows)], seed)
     assert grown == reference_closure_mask(n, k, [(3, rows)], r0) and grown != r0
     # a hypothesis that derives nothing
@@ -226,7 +236,7 @@ def test_goal_seed_is_copied_not_shared():
     expected = reference_saturate_record(n, k, [(3, rows)], r0, goal)
     got, log = _kernel.closure_record(n, k, [(3, rows)], seed, goal)
     assert (got, list(log.items())) == (expected[0], list(expected[1].items()))
-    assert _goal_codes(N)[0] is seed and seed == _kernel._seed(n, k, r0)
+    assert _goal_codes(N)[0] is seed and seed == built == _kernel._seed(n, k, r0)
 
 
 def test_goal_in_col_star_packs_nothing():

@@ -97,6 +97,10 @@ def test_parse_errors_carry_position():
         with pytest.raises(MatrixParseError, match="non-integer header field") as exc:
             parse_matrix(f"1 | 1\n#nmk 1 1 {field}")
         assert (exc.value.line, exc.value.column) == (2, 1)
+    for header in ("#nmk 1 1", "#nmk 1 1 1 1", "#nmk"):
+        with pytest.raises(MatrixParseError, match="header must be '#nmk n m k'") as exc:
+            parse_matrix(f"1 | 1\n{header}")
+        assert (exc.value.line, exc.value.column) == (2, 1)
 
 
 def test_text_round_trip():
