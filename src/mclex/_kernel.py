@@ -7,11 +7,12 @@ All kernels build their row tuples from rows packed by `_steps` into
 fixed-width integer fields, so that a whole row adds its entries to every
 column code with one addition.  A row becomes one int with a field of
 w = universe.bit_length() bits per entry: field j holds entry j, the right
-entry is in field m.  Row d of a tuple adds its step packed_row * (k+1)**d,
-which adds e_j * (k+1)**d to every field j at once.  A field then holds a
-base-(k+1) number of at most n digits, below universe = (k+1)**n < 2**w,
-so no field ever carries into the next and field j of the sum is the code
-of column j.
+entry is in field m, so the packed row is the sum of its entries times the
+field weights 2**(w*j), computed once per hypothesis.  Row d of a tuple
+adds its step packed_row * (k+1)**d, which adds e_j * (k+1)**d to every
+field j at once.  A field then holds a base-(k+1) number of at most n
+digits, below universe = (k+1)**n < 2**w, so no field ever carries into
+the next and field j of the sum is the code of column j.
 
 The closure kernels extend row tuples one row at a time; row d of a tuple
 gives digit d of each of its columns.  They keep the column set as digit
@@ -50,18 +51,20 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from operator import mul
 
 # perfbench/unit.py records mclex.BACKEND in every result line
 BACKEND = "python"
 
 
-def _steps(n, k, rows):
+def _steps(n, k, m, rows):
     """The field width w and the rows' steps: steps[d][i] is row i packed
     into fields of w bits, times (k+1)**d."""
     base = k + 1
     w = (base**n).bit_length()
-    packed = [sum(e << (w * j) for j, e in enumerate(row)) for row in rows]
-    return w, tuple(tuple([p * f for p in packed]) for f in [base**d for d in range(n)])
+    weights = [1 << w * j for j in range(m + 1)]  # entry j goes to field j
+    packed = [sum(map(mul, row, weights)) for row in rows]
+    return w, tuple([tuple(map((base**d).__mul__, packed)) for d in range(n)])
 
 
 # one entry per (universe, hypothesis).  compute_edges decides one
@@ -69,9 +72,10 @@ def _steps(n, k, rows):
 # Hasse order of (3,3,2) and (4,3,1), 8 to 32 entries hit on 461 of the 623
 # packings (an unbounded cache on 469).  classify of the same windows hits
 # on 273, 311 and 324 of its 703 with 8, 16 and 32 entries (404
-# unbounded).  On certify, 2 to 32 entries hit on 986 to 988 of 1,873
-# packings, where the recorded decide repacks the hypothesis of the
-# verdict-only one.  An entry holds about 2 KB, 1.2 KB of it row tables
+# unbounded).  On certify (800 queries, seed 0), 2 to 32 entries hit on
+# 986 to 995 of 1,870 packings (1,051 unbounded), where the recorded decide
+# repacks the hypothesis of the verdict-only one.  There an entry holds
+# about 3.3 KB of tuples, lists and uncached ints, half of it row tables
 @lru_cache(maxsize=32)
 def _packed(n, k, m, rows):
     """The steps of `_steps`, a row table per column, and the offset of the
@@ -84,7 +88,7 @@ def _packed(n, k, m, rows):
     column, whose table is complemented: the rows whose right entry is none
     of the digits.
     """
-    w, steps = _steps(n, k, rows)
+    w, steps = _steps(n, k, m, rows)
     tables = []
     for j in range(m + 1):
         by_digit = [0] * (k + 1)
@@ -233,6 +237,11 @@ def closure_record(n, k, mats, seed, stop=-1):
     r0, counted as distinct codes: those among the log's keys, since a
     tuple consumes only columns of the set its round started from, and the
     round logs only columns outside that set.
+
+    A tuple whose right column the log already holds at cost 0 is skipped
+    before it is priced: only a strictly cheaper witness replaces a logged
+    one, and none is cheaper than 0, so the log keeps the same first
+    cheapest witness.
     """
     r, _digits, field = seed
     goal = 1 << stop if stop >= 0 else 0
@@ -241,12 +250,15 @@ def closure_record(n, k, mats, seed, stop=-1):
     while not r & goal:
         size = len(log)
         for mi, scan in enumerate(scans):
-            left, right = scan[1], scan[3]
+            shifts = [sh for sh, _table in scan[1]]
+            right = scan[3]
             for v in _tuples(scan, field, digits, ()):
                 c = v >> right
-                consumed = tuple((v >> sh) & field for sh, _table in left)
-                cost = len(log.keys() & consumed)
                 best = log.get(c)
+                if best is not None and not best[0]:
+                    continue  # no witness is cheaper than cost 0
+                consumed = tuple(map(field.__and__, map(v.__rshift__, shifts)))
+                cost = len(log.keys() & consumed)
                 if best is None or cost < best[0]:
                     log[c] = (cost, mi, consumed)
         if len(log) == size:
@@ -326,7 +338,7 @@ def sharp_bits(n, k, m, rows, rel_masks):
     width = len(rel_masks)
     blocks = math.factorial(n)
     slices = _perm_slices(n, base, tuple(rel_masks))
-    w, steps = _steps(n, k, rows)
+    w, steps = _steps(n, k, m, rows)
     field = (1 << w) - 1
     partial = [(0, 0)]
     for step in steps[:-1]:

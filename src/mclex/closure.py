@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 from functools import lru_cache
+from operator import itemgetter
 
 from . import _kernel
 from .degeneracy import is_trivial
@@ -20,8 +21,8 @@ from .matrix import STAR, _Frozen, entry_text, parse_entries, parse_matrix
 
 def encode_column(col, base):
     code = 0
-    for i, e in enumerate(col):
-        code += e * base**i
+    for e in reversed(col):  # Horner: entry i has weight base**i
+        code = code * base + e
     return code
 
 
@@ -34,17 +35,8 @@ def decode_column(code, base, n):
 
 
 def apply_map(row, fmap):
-    return tuple(e if e == STAR else fmap[e - 1] for e in row)
-
-
-def _maps(row, k_source, k_target):
-    """Variable maps into 0..k_target in itertools.product order, each
-    variable that row does not use fixed at STAR.  Every instance of row
-    comes once, from its first map over all k_source variables."""
-    values = range(k_target + 1)
-    return itertools.product(
-        *[values if v in row else (STAR,) for v in range(1, k_source + 1)]
-    )
+    # entry e of row is item e of (STAR, *fmap)
+    return tuple(map((STAR, *fmap).__getitem__, row))
 
 
 # small on purpose: enumeration instantiates each candidate once, and large
@@ -53,18 +45,27 @@ def _maps(row, k_source, k_target):
 # hashes no rows
 @lru_cache(maxsize=1 << 8)
 def instantiate(M, k_target):
-    """Deduplicated instantiated rows of M over the target alphabet."""
-    return tuple(dict.fromkeys(
-        apply_map(row, fmap) for row in M.rows for fmap in _maps(row, M.k, k_target)
-    ))
+    """Deduplicated instantiated rows of M over the target alphabet: row by
+    row, each row's instances in the itertools.product order of the maps of
+    the variables it uses into 0..k_target."""
+    values = range(k_target + 1)
+    rows = itertools.chain.from_iterable(
+        # each map as (STAR, *fmap), so that entry e of the row is item e,
+        # with the variables the row leaves out fixed at STAR
+        map(itemgetter(*row), itertools.product(
+            (STAR,), *[values if v in row else (STAR,) for v in range(1, M.k + 1)]))
+        for row in M.rows
+    )
+    # the itemgetter of a one-entry row returns the entry, not a tuple
+    return tuple(dict.fromkeys(rows if M.m else zip(rows)))
 
 
 def col_star_mask(N):
     """Bitmask of N's left columns together with the all-star column."""
     base = N.k + 1
     mask = 1  # all-star column has code 0
-    for j in range(N.m):
-        mask |= 1 << encode_column(N.left_column(j), base)
+    for col in itertools.islice(zip(*N.rows), N.m):
+        mask |= 1 << encode_column(col, base)
     return mask
 
 
@@ -183,7 +184,7 @@ def _build_proof(S, N, log, verdict):
         _cost, mi, consumed = log[code]
         added = decode_column(code, base, n)
         cols = [decode_column(c, base, n) for c in consumed]
-        rows = [tuple(col[i] for col in cols) + (added[i],) for i in range(n)]
+        rows = zip(*cols, added)
         steps.append(
             TableauStep(added, tuple((mi,) + _witness(S[mi], row) for row in rows), tuple(cols))
         )
@@ -233,7 +234,7 @@ def verify_tableau(proof):
     for si, step in enumerate(proof.steps[1:], start=1):
         if len(step.witnesses) != n:
             return False, si
-        mats = set(w[0] for w in step.witnesses)
+        mats = {w[0] for w in step.witnesses}
         if len(mats) != 1:
             return False, si
         mi = next(iter(mats))
@@ -247,14 +248,11 @@ def verify_tableau(proof):
             if any(not (0 <= v <= N.k) for v in fmap):
                 return False, si
             inst_rows.append(apply_map(M.rows[ri], fmap))
-        consumed = tuple(
-            tuple(inst_rows[i][j] for i in range(n)) for j in range(M.m)
-        )
-        if consumed != step.consumed:
+        *consumed, right = zip(*inst_rows)
+        if tuple(consumed) != step.consumed:
             return False, si
         if any(c not in cols for c in consumed):
             return False, si
-        right = tuple(inst_rows[i][-1] for i in range(n))
         if right != step.added:
             return False, si
         cols.add(right)
@@ -272,7 +270,7 @@ def check_tableau(proof):
 
 
 def _col_json(col):
-    return [entry_text(e) for e in col]
+    return list(map(entry_text, col))
 
 
 _JSON_KINDS = {list: "a list", str: "a string", int: "an integer", bool: "a boolean"}
@@ -315,10 +313,10 @@ def tableau_to_json(proof):
             {
                 "added": _col_json(step.added),
                 "witnesses": [
-                    {"matrix": mi, "row": ri, "map": [entry_text(v) for v in fmap]}
+                    {"matrix": mi, "row": ri, "map": _col_json(fmap)}
                     for mi, ri, fmap in step.witnesses
                 ],
-                "consumed": [_col_json(c) for c in step.consumed],
+                "consumed": list(map(_col_json, step.consumed)),
             }
             for step in proof.steps
         ],

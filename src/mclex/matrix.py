@@ -160,7 +160,7 @@ class ExtendedMatrix(_Frozen):
     def grid_lines(self):
         """One text line per row; DOT node labels stack them."""
         return [
-            (" ".join(entry_text(e) for e in row[:-1]) + " | " + entry_text(row[-1])).strip()
+            (" ".join(map(entry_text, row[:-1])) + " | " + entry_text(row[-1])).strip()
             for row in self.rows
         ]
 
@@ -178,10 +178,32 @@ def matrix(rows, k=None):
     return ExtendedMatrix(len(rows), len(rows[0]) - 1 if rows else 0, k, rows)
 
 
+def _one_line_rows(text):
+    """The rows of a valid one-line text whose tokens are one character
+    each (so it has no header), or None for any other text, which
+    parse_matrix's diagnostic path then reads."""
+    if "\n" in text:
+        return None
+    rows = []
+    try:
+        for chunk in text.split(";"):
+            if chunk.strip():
+                left, right = chunk.split("|")
+                (right,) = right.split()
+                rows.append(tuple(map(_SHORT_TOKENS.__getitem__, left.split()))
+                            + (_SHORT_TOKENS[right],))
+    except (KeyError, ValueError):  # a bad token, or not one '|' and one right entry
+        return None
+    return tuple(rows) if len(set(map(len, rows))) == 1 else None
+
+
 def parse_matrix(text):
     """Parse the interchange format: rows of entries, ``|`` before the right
     entry, rows separated by ``;`` or newlines, optional ``#nmk n m k`` header.
     """
+    rows = _one_line_rows(text)
+    if rows:
+        return ExtendedMatrix(len(rows), len(rows[0]) - 1, max(map(max, rows)), rows)
     lines = text.split("\n")
     header = None
     body_rows = []  # (line_no, row_text, col_offset)

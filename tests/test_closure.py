@@ -89,12 +89,31 @@ def reference_instances(rows, k_source, k_target):
     return first
 
 
+def generator_instances(M, k_target):
+    """instantiate's rows by a generator per entry: each row mapped by every
+    map of the variables it uses, the others at STAR, in product order."""
+
+    def apply(row, fmap):
+        return tuple(e if e == STAR else fmap[e - 1] for e in row)
+
+    def maps(row):
+        values = range(k_target + 1)
+        return itertools.product(*[values if v in row else (STAR,) for v in range(1, M.k + 1)])
+
+    return tuple(dict.fromkeys(apply(row, fmap) for row in M.rows for fmap in maps(row)))
+
+
 def test_instantiate_maps_only_the_variables_a_row_uses():
-    from mclex import candidate_stream
+    # witness row indices and the tableau digests rest on this order
+    from mclex import candidate_stream, degeneracy_class
+    from mclex.degeneracy import DegeneracyClass
 
     rng = random.Random(49)
     mats = [matrix(rows) for w in [(3, 3, 2), (2, 4, 2)] for rows in candidate_stream(*w)]
+    mats += [M for M in map(matrix, candidate_stream(4, 4, 1))
+             if degeneracy_class(M) is DegeneracyClass.PROPER]
     mats += list(all_matrices(2, 1, 2))
+    mats += [parse_matrix(t) for t in ("| 1", "| *", "| 2", "| 1 ; | *")]  # one-entry rows
     # rows that skip variables of a larger budget
     mats += [
         matrix([tuple(rng.choice((STAR, 1, 3, 5)) for _ in range(4)) for _ in range(3)], 5)
@@ -103,8 +122,12 @@ def test_instantiate_maps_only_the_variables_a_row_uses():
     for M in mats:
         for k_target in range(3):
             want = reference_instances(M.rows, M.k, k_target)
-            assert instantiate(M, k_target) == tuple(want), M
+            assert instantiate(M, k_target) == tuple(want) == generator_instances(M, k_target), M
             assert {row: _witness(M, row) for row in instantiate(M, k_target)} == want, M
+    assert instantiate(parse_matrix("| 1"), 2) == ((0,), (1,), (2,))
+    for fmap in [(1, 2), (STAR, 1), (2, STAR)]:
+        for row in [(1, STAR, 2, 1), (2, 2, STAR), (1,), (STAR,)]:
+            assert apply_map(row, fmap) == tuple(e if e == STAR else fmap[e - 1] for e in row)
 
 
 # --- saturation --------------------------------------------------------------
@@ -414,6 +437,31 @@ def test_tableau_json_round_trip(tmp_path):
     assert pickle.loads(pickle.dumps(proof)) == proof == copy.copy(proof)
     with open(path) as fh:
         json.load(fh)  # well-formed JSON
+
+
+def test_tableau_json_round_trip_mixed_queries():
+    # the 120 queries of test_recorded_tableaux_digest_mixed_queries, drawn
+    # the same way: the digest shows they are the same tableaux
+    from mclex import candidate_stream, degeneracy_class
+    from mclex.degeneracy import DegeneracyClass
+
+    pools = {
+        w: [M for M in map(matrix, candidate_stream(*w))
+            if degeneracy_class(M) is DegeneracyClass.PROPER]
+        for w in [(3, 3, 2), (4, 4, 1)]
+    }
+    rng = random.Random(1)
+    h = hashlib.sha256()
+    for window, hyps, goals in [((3, 3, 2), 2, 1), ((3, 3, 2), 1, 2),
+                                ((4, 4, 1), 1, 1), ((4, 4, 1), 2, 1)]:
+        for _ in range(30):
+            drawn = rng.sample(pools[window], hyps + goals)
+            _verdict, tableaux = decide(drawn[:hyps], drawn[hyps:], record=True)
+            for t in tableaux:
+                again = tableau_from_json(json.loads(json.dumps(tableau_to_json(t))))
+                assert again == t and verify_tableau(again) == (True, None)
+            h.update(json.dumps([tableau_to_json(t) for t in tableaux], sort_keys=True).encode())
+    assert h.hexdigest() == MIXED_TABLEAU_DIGEST
 
 
 def test_tableau_records_are_immutable():

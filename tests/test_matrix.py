@@ -103,6 +103,54 @@ def test_parse_errors_carry_position():
         assert (exc.value.line, exc.value.column) == (2, 1)
 
 
+def _respace(text, rng):
+    """text with random runs of spaces and tabs around its tokens and empty
+    ';' chunks between its rows."""
+    out = []
+    for token in text.split(" "):
+        if token == ";" and rng.random() < 0.5:
+            token = "; \t;" if rng.random() < 0.5 else ";;"
+        out.append(token + "".join(rng.choice(" \t") for _ in range(rng.randint(1, 3))))
+    return rng.choice(("", " ", "\t;")) + "".join(out) + rng.choice(("", ";", " ; "))
+
+
+def test_one_line_parse_agrees_with_the_diagnostic_parse():
+    from mclex import candidate_stream
+    from mclex.matrix import _one_line_rows
+
+    rng = random.Random(30)
+    for window in [(3, 3, 2), (4, 4, 1)]:
+        for rows in candidate_stream(*window):
+            M = matrix(rows)
+            for text in (M.text(), _respace(M.text(), rng)):
+                assert _one_line_rows(text) == M.rows, text
+                # a newline sends a text to the diagnostic path
+                assert parse_matrix(text) == parse_matrix(text + "\n") == M, text
+    # texts of the diagnostic path only
+    assert parse_matrix("10 | 10").rows == ((10, 10),)
+    assert parse_matrix("#nmk 1 1 3\n1 | 1") == matrix([(1, 1)], 3)
+    # each error as the diagnostic parser reports it
+    for text, message, column in (
+        ("1 | 1 |", "each row needs exactly one '|' before its right entry", 3),
+        ("1 1", "each row needs exactly one '|' before its right entry", 1),
+        ("0 | 1", "variable index 0 is invalid in left part", 1),
+        ("1 | 0", "variable index 0 is invalid in right column", 5),
+        ("1 ² | 1", "malformed token '²' in left part", 3),
+        ("1 # | 1", "malformed token '#' in left part", 3),
+        ("1 | 1 2", "right column of a row must be a single entry", 3),
+        ("\t1 |\t; 2 | *", "right column of a row must be a single entry", 4),
+        (";", "empty matrix text", 1),
+        (" ; ; ", "empty matrix text", 1),
+        ("1 2 | 1 ; 1 | 1", "ragged rows", 1),
+        ("1 | 1 ; 1 2 | 1", "ragged rows", 1),
+    ):
+        assert _one_line_rows(text) is None, text
+        with pytest.raises(MatrixParseError) as exc:
+            parse_matrix(text)
+        assert (str(exc.value), exc.value.line, exc.value.column) == (
+            f"line 1, column {column}: {message}", 1, column), text
+
+
 def test_text_round_trip():
     for M in (MALTSEV, SU2, UNITAL, SUBTRACTION):
         assert parse_matrix(M.text()).rows == M.rows
