@@ -10,7 +10,9 @@ Candidates with the same entry-level normal form share a class outright.
 The others are separated cheaply by a semantic signature: the family of small
 pointed relations stable under a matrix's derivation rules is an invariant
 of the matrix class, so differing signatures can never mean equal classes.
-Within a signature bucket the closure engine confirms equality both ways.
+Within a signature bucket the closure engine confirms equality both ways,
+except in a direction whose goal a probe listing every pointed relation of
+its shape covers: there equal signatures mean implication (`_covers`).
 """
 
 from __future__ import annotations
@@ -167,10 +169,14 @@ def _probe_masks(n_p, k_p):
 
 
 def probes_for(n, k):
-    # Signatures only choose which classes a candidate is decided against,
-    # so the probe list sets the speed of classify, never its output.
-    # Measured in pure Python on 2 noisy cores, single runs, with the
-    # sorted-tuple sharp_bits:
+    # Signatures choose which classes a candidate is decided against, and
+    # answer without a decide the goals that a complete probe covers: (3, 1)
+    # and (2, 2) list all their 128 and 256 pointed relations, (4, 1) only
+    # 1,024 samples of 32,768 (see `_covers`).  Either way the answers are
+    # exact, so the probe list sets the speed of classify, never its
+    # output.  Measured in pure Python on 2 noisy cores, single runs, with
+    # the sorted-tuple sharp_bits, before covered goals skipped their
+    # decides:
     # - no (1, 1) probe: its relations are {*} and the full one, and {*} is
     #   stable unless a row's variable right entry is missing from its left
     #   part, which makes the matrix trivial.  So the probe reads the same
@@ -187,7 +193,8 @@ def probes_for(n, k):
     # - (4, 1) stays: without it (4,6,1) took 11.3 s instead of 4.9 s, with
     #   42,473 decides instead of 12,526.
     # - (3, 1) comes first: its block alone gates classify's decide against
-    #   the last class placed, so the first probe stays the cheapest one.
+    #   the last class placed, so the first probe stays the cheapest one,
+    #   and it covers the gate's goals of at most 3 rows and 1 variable.
     probes = [(3, 1)]
     if k >= 2:
         probes.append((2, 2))
@@ -263,9 +270,49 @@ class PosetGraph:
         self.groups = groups
 
 
-def _equiv(A, B):
-    """Class equality: A and B imply each other."""
-    return decide([A], [B])[0] and decide([B], [A])[0]
+def _covers(probes, N):
+    """True when some probe lists every pointed relation of its shape
+    (n_p, k_p) and N.n <= n_p, N.k <= k_p.  Then signatures over `probes`
+    decide every implication whose goal is N from a non-trivial A (a
+    trivial one implies everything): A => N exactly when
+    sig(A) & ~sig(N) == 0.
+
+    One way is `signature`'s.  For the other, suppose A does not imply N.
+    The saturation S = cl_A(col*(N)) is a pointed relation of N's shape
+    (N.n, N.k): it holds the all-star column, it is stable under A's rules
+    over N.k variables, and N's own rule, its rows under the identity map,
+    breaks it, as S has N's left columns but not its right column.  S
+    reaches a relation of the probe's shape in two steps, each keeping
+    both facts.
+
+    - Sub-alphabet, for N.k < k_p: S read as a relation over 0..k_p.  Take
+      a rule of A over k_p whose left columns lie in S.  A is not trivial,
+      so each row's variable right entry reappears in its own left part;
+      every variable the rule's rows use then takes a value of a left
+      column, at most N.k, and the rule is one of A's rules over N.k.  So
+      its right column lies in S.  N's identity map is a map into 0..k_p,
+      so N's rule still breaks S.
+    - Cylinder, for N.n < n_p: S x {0..k_p}^(n_p - N.n), the columns whose
+      first N.n entries form a column of S.  A rule of A on n_p rows whose
+      left columns lie in the cylinder restricts, on its first N.n rows, to
+      a rule with left columns in S, so its right column lies in the
+      cylinder.  N's rows followed by n_p - N.n copies of its first row
+      form a rule of N whose left columns lie in the cylinder and whose
+      right column does not.
+
+    The relation reached is listed by the probe, stable under A and not
+    under N, so its bit is in sig(A) and not in sig(N)."""
+    return any(N.n <= n_p and N.k <= k_p
+               and len(_probe_masks(n_p, k_p)) == 1 << ((k_p + 1) ** n_p - 1)
+               for n_p, k_p in probes)
+
+
+def _equiv(A, B, probes=()):
+    """Class equality: A and B imply each other.  A and B have equal blocks
+    over `probes`, so a direction whose goal `_covers` holds without a
+    decide."""
+    return ((_covers(probes, B) or decide([A], [B])[0])
+            and (_covers(probes, A) or decide([B], [A])[0]))
 
 
 # probes of every signature taken after classify, localized ones included.
@@ -295,7 +342,11 @@ class Decider:
     2. True when B is in succ[A];
     3. False when succ[B] meets nots[A]: B implies a matrix that A does
        not, so A =/=> B (B itself included, as B is in succ[B]);
-    4. otherwise `decide([A], [B])`, whose answer extends the bitsets.
+    4. True when `_covers(_EDGE_PROBES, B)`, kept as one flag per number:
+       rule 1 has passed, and over a probe that lists every pointed
+       relation of a shape that holds B, signatures decide A => B exactly;
+    5. otherwise `decide([A], [B])`.  A true answer of rule 4 or 5 extends
+       succ[A], a false one of rule 5 the nots.
 
     A and B are matrices or the numbers `_number` gave them.
     `compute_edges` numbers its representatives once and asks by number,
@@ -319,6 +370,7 @@ class Decider:
         self._ids = {}
         self._mats = []
         self._sig = []
+        self._cover = []
         self._succ = []
         self._nots = []
 
@@ -328,6 +380,7 @@ class Decider:
             i = self._ids[M] = len(self._sig)
             self._mats.append(M)
             self._sig.append(0 if is_trivial(M) else signature(M, _EDGE_PROBES))
+            self._cover.append(_covers(_EDGE_PROBES, M))
             self._succ.append(1 << i)
             self._nots.append(0)
         return i
@@ -342,7 +395,7 @@ class Decider:
             return True
         if succ[j] & nots[i]:
             return False
-        if decide([self._mats[i]], [self._mats[j]])[0]:
+        if self._cover[j] or decide([self._mats[i]], [self._mats[j]])[0]:
             succ[i] |= succ[j]
             nots[j] |= nots[i]
             return True
@@ -421,14 +474,14 @@ def classify(n, m, k, *, with_order=False, with_groups=False,
             # invariant) is the candidate's; the signature reuses that block
             if (last_cid is not None
                     and _probe_bits(M, gate) == _probe_bits(classes[last_cid].rep, gate)
-                    and _equiv(M, classes[last_cid].rep)):
+                    and _equiv(M, classes[last_cid].rep, (gate,))):
                 classes[last_cid].members += 1
             else:
                 same = sig_buckets.setdefault(signature(M, probes), [])
                 for cid in reversed(same):
                     if cid == last_cid:
                         continue
-                    if _equiv(M, classes[cid].rep):
+                    if _equiv(M, classes[cid].rep, probes):
                         classes[cid].members += 1
                         last_cid = cid
                         break
@@ -603,7 +656,7 @@ def canonical(M, window=None):
             continue
         C = matrix(rows)
         if (_probe_bits(C, probes[0]) == block_M and signature(C, probes) == sig_M
-                and _equiv(C, M)):
+                and _equiv(C, M, probes)):
             return C
     raise ValueError("no window candidate is equivalent to the matrix")
 
@@ -617,7 +670,10 @@ def _ckpt_path(directory, n, m, k):
 
 def _stamp(n, k):
     """The build a checkpoint belongs to: the package version and the
-    signature probes, which decide how candidates are bucketed."""
+    signature probes, which decide how candidates are bucketed.  Which
+    probes cover a goal follows from the probes listed, so checkpoints
+    written before covered goals skipped their decides still resume: they
+    list the same probes, and the classes are the same either way."""
     return {"version": __version__, "probes": [list(p) for p in probes_for(n, k)]}
 
 

@@ -43,6 +43,7 @@ from mclex.enumeration import (
     ClassNode,
     Decider,
     PosetGraph,
+    _covers,
     _probe_bits,
     _probe_masks,
     candidate_batches,
@@ -681,7 +682,9 @@ def _brute_edges(window):
 
 @pytest.mark.parametrize("shuffle", [None, 7004])
 @pytest.mark.parametrize(
-    "window", [(2, 2, 2), (2, 3, 2), (3, 3, 2), (4, 3, 1), (3, 6, 1)], ids=str
+    "window",
+    [(2, 2, 2), (2, 3, 2), (2, 4, 2), (3, 3, 2), (3, 4, 1), (4, 3, 1), (3, 6, 1)],
+    ids=str,
 )
 def test_pruned_edges_equal_brute_force(window, shuffle):
     # the Decider answers most pairs from signatures and transitivity, so
@@ -707,11 +710,53 @@ def test_pruned_edges_decide_few_pairs(monkeypatch):
     monkeypatch.setattr(mclex.enumeration, "decide", counting)
     compute_edges(reps)
     assert len(reps) * (len(reps) - 1) == 1722
-    assert len(calls) <= 600
-    # 443 with the inference from succ[B] and nots[A], 458 without it
+    # 146 with goals that (3, 1) covers answered from signatures, 301 without
+    assert len(calls) <= 146
+    # 284 with covered goals, 435 without them
     calls.clear()
     compute_edges(reps_4)
-    assert len(calls) <= 450
+    assert len(calls) <= 284
+
+
+def test_complete_probes_decide_covered_goals_exactly():
+    # _covers' argument, checked against decide on every ordered pair of the
+    # representatives, degenerate ones included: where a complete probe of
+    # the window covers the goal, the edge is there exactly when the
+    # signatures include; a trivial matrix is signed 0, as the Decider signs
+    # it
+    covered = 0
+    for window in [(2, 3, 2), (3, 3, 2), (4, 3, 1), (3, 6, 1)]:
+        probes = probes_for(window[0], window[2])
+        reps, edges = _reps(window), _brute_edges(window)
+        sigs = [0 if is_trivial(M) else signature(M, probes) for M in reps]
+        for (i, A), (j, B) in itertools.permutations(enumerate(reps), 2):
+            if _covers(probes, B):
+                covered += 1
+                assert ((i, j) in edges) == (sigs[i] & ~sigs[j] == 0), (A, B)
+    # 30 of (2,3,2), 656 of (3,3,2), 705 of (4,3,1) and 930 of (3,6,1)
+    assert covered == 2321
+
+
+def test_covered_window_makes_no_decide(monkeypatch):
+    # (3,1) covers every goal of (3,6,1), so its classes, edges, subposets
+    # and canonical forms take no decide; the groups' loc_equal still does
+    calls, loc_calls = [], []
+
+    def counting(log, decide):
+        def call(*args):
+            log.append(1)
+            return decide(*args)
+        return call
+
+    monkeypatch.setattr(mclex.enumeration, "decide", counting(calls, decide))
+    monkeypatch.setattr(mclex.localization, "decide",
+                        counting(loc_calls, mclex.localization.decide))
+    graph = classify(3, 6, 1, with_order=True, with_groups=True)
+    for anchor in ANCHORS.values():
+        subposet_by_localization(graph.classes, anchor)
+    for c in graph.classes:
+        assert canonical(c.rep, (3, 6, 1)) == c.rep
+    assert calls == [] and loc_calls
 
 
 def test_packed_signatures_refute_as_the_probe_tuples():
@@ -820,8 +865,9 @@ def test_classify_computes_few_signatures(window, monkeypatch):
 def test_classify_gates_the_last_class_on_the_first_block(window, monkeypatch):
     # the last class placed is decided only against candidates with its
     # first probe block: 385 and 318 decides instead of 544 and 474, for
-    # 186 and 153 (3, 1) blocks instead of 128; the other probes stay at 128
-    decides, first_blocks = {(3, 3, 2): (400, 200), (4, 3, 1): (330, 170)}[window]
+    # 186 and 153 (3, 1) blocks instead of 128; the other probes stay at 128.
+    # Goals that a complete probe covers take no decide: 221 and 190
+    decides, first_blocks = {(3, 3, 2): (221, 200), (4, 3, 1): (190, 170)}[window]
     decided, pairs = [], []
     equiv = mclex.enumeration._equiv
 
@@ -829,9 +875,9 @@ def test_classify_gates_the_last_class_on_the_first_block(window, monkeypatch):
         decided.append(1)
         return decide(*args)
 
-    def recording(A, B):
+    def recording(A, B, probes=()):
         pairs.append((A, B))
-        return equiv(A, B)
+        return equiv(A, B, probes)
 
     monkeypatch.setattr(mclex.enumeration, "decide", counting)
     monkeypatch.setattr(mclex.enumeration, "_equiv", recording)
@@ -847,8 +893,11 @@ def test_classify_gates_the_last_class_on_the_first_block(window, monkeypatch):
 
 
 # sha256 over (text, kind, members) of each class, taken before classify
-# gated its last-class decide on the first probe block
+# gated its last-class decide on the first probe block, and for (2,4,2) and
+# (3,4,1) before complete probes answered covered goals without a decide
 _CLASS_LIST_DIGESTS = {
+    (2, 4, 2): "76bf2077c11661755c7f13a44415558d95365b763c814ada18a61c89df52cd24",
+    (3, 4, 1): "871cf4631a3dceb0a9d7927c0d025ac1b2afa21f125d2d8ceb96ad834f8825ce",
     (3, 4, 2): "7d34846ebd4c58b126dcbb024ea56cc8581fe4b1ae473d4efae5d370d540de8f",
     (4, 4, 1): "0803d7cb2fca7d04b06d349a413a2f3b7c45dae4eb0ce611d28c092481cee252",
     (4, 5, 1): "2df4ccd43f69a82646d8010455a65c87a4dc87204a765c33aae31264f13e2afb",
