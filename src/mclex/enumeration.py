@@ -345,8 +345,12 @@ class Decider:
     4. True when `_covers(_EDGE_PROBES, B)`, kept as one flag per number:
        rule 1 has passed, and over a probe that lists every pointed
        relation of a shape that holds B, signatures decide A => B exactly;
-    5. otherwise `decide([A], [B])`.  A true answer of rule 4 or 5 extends
-       succ[A], a false one of rule 5 the nots.
+    5. otherwise `decide([A], [B])`, which answers from the column sets
+       that earlier decides with hypothesis A derived for goals of B's
+       shape where they settle it, and saturates otherwise (see
+       `closure._Derived`): compute_edges asks row i's pairs in a row, so
+       they share one list.  A true answer of rule 4 or 5 extends succ[A],
+       a false one of rule 5 the nots.
 
     A and B are matrices or the numbers `_number` gave them.
     `compute_edges` numbers its representatives once and asks by number,

@@ -35,6 +35,17 @@ def entry_text(e):
 
 # the entry of every one-character token that names one
 _SHORT_TOKENS = {"*": STAR, **{str(v): v for v in range(1, 10)}}
+# and the other way round.  Entries are ints (`ExtendedMatrix` refuses any
+# other type), so no bool meets this table, where True would read as 1
+_SHORT_TEXTS = {v: t for t, v in _SHORT_TOKENS.items()}
+
+
+def entry_texts(entries):
+    """[entry_text(e) for e in entries], one dict lookup per entry below 10."""
+    try:
+        return list(map(_SHORT_TEXTS.__getitem__, entries))
+    except KeyError:
+        return list(map(entry_text, entries))
 
 
 def _parse_entry(t):
@@ -101,6 +112,8 @@ class ExtendedMatrix(_Frozen):
     __slots__ = ("n", "m", "k", "rows", "_hash")
 
     def __init__(self, n, m, k, rows):
+        if k.__class__ is not int:  # bools included
+            raise ValueError(f"variable budget {k!r} is not an integer")
         if n < 1 or m < 0 or k < 0:
             raise ValueError(f"bad dimensions n={n} m={m} k={k}")
         if len(rows) != n:
@@ -109,6 +122,8 @@ class ExtendedMatrix(_Frozen):
             if len(row) != m + 1:
                 raise ValueError("ragged rows")
             for e in row:
+                if e.__class__ is not int:
+                    raise ValueError(f"entry {e!r} is not an integer")
                 if not (0 <= e <= k):
                     raise ValueError(f"entry {e} outside variable budget k={k}")
         object.__setattr__(self, "n", n)
@@ -160,8 +175,8 @@ class ExtendedMatrix(_Frozen):
     def grid_lines(self):
         """One text line per row; DOT node labels stack them."""
         return [
-            (" ".join(map(entry_text, row[:-1])) + " | " + entry_text(row[-1])).strip()
-            for row in self.rows
+            (" ".join(texts[:-1]) + " | " + texts[-1]).strip()
+            for texts in map(entry_texts, self.rows)
         ]
 
     def __str__(self):

@@ -8,6 +8,7 @@ import os
 import pytest
 
 from mclex import classify, matrix, parse_matrix
+from mclex.closure import _derived
 from mclex.enumeration import _probe_bits
 
 # Run the heavy enumeration tests only when MCLEX_SLOW=1 is set.
@@ -23,6 +24,15 @@ def cold_probe_blocks():
     has them, so a later test that counts signing sees its own blocks."""
     yield
     _probe_bits.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_decides():
+    """Each test leaves the column sets that decides derived cold, so a
+    later test, the harness's tests among them, sees its own decides
+    saturate."""
+    yield
+    _derived.cache_clear()
 
 
 @functools.lru_cache(maxsize=None)

@@ -19,9 +19,12 @@ from conftest import (
     SUBTRACTION,
     TRIVIAL,
     UNITAL,
+    classified,
 )
-from mclex import decide, decide_pair, matrix, parse_matrix, saturate
+import mclex.closure
+from mclex import candidate_stream, decide, decide_pair, matrix, parse_matrix, saturate
 from mclex.closure import (
+    _derived,
     _witness,
     apply_map,
     check_tableau,
@@ -35,6 +38,7 @@ from mclex.closure import (
     tableau_to_json,
     verify_tableau,
 )
+from mclex.degeneracy import DegeneracyClass, degeneracy_class, is_trivial
 from mclex.matrix import STAR
 from test_matrix import all_matrices
 
@@ -235,6 +239,89 @@ def test_decide_transitive_sample():
         A, B, C = rng.choice(mats), rng.choice(mats), rng.choice(mats)
         if decide_pair(A, B) and decide_pair(B, C):
             assert decide_pair(A, C)
+
+
+# --- column sets that earlier decides derived ---------------------------------
+
+
+def _cold_verdict(S, U):
+    """decide's verdict from one saturation per goal, with no derived sets:
+    a trivial hypothesis implies everything, and its saturation need not
+    show it."""
+    return any(map(is_trivial, S)) or all(
+        (saturate(S, N)[0] >> encode_column(N.right_column, N.k + 1)) & 1 for N in U
+    )
+
+
+def _goal_in_col_star(N):
+    return (col_star_mask(N) >> encode_column(N.right_column, N.k + 1)) & 1
+
+
+# (saturations, pairs settled true, pairs settled false) of the ordered
+# pairs of each window's representatives, asked row by row
+DERIVED_COUNTS = {
+    (2, 4, 2): (21, 0, 0), (3, 3, 2): (1450, 85, 106), (4, 3, 1): (1582, 69, 512),
+}
+
+
+def _counting_saturations(monkeypatch):
+    """A list that gains the goal of each saturation from here on."""
+    goals = []
+    real = mclex.closure.saturate
+
+    def counting(S, N, record=False, stop_at_goal=True):
+        goals.append(N)
+        return real(S, N, record, stop_at_goal)
+
+    monkeypatch.setattr(mclex.closure, "saturate", counting)
+    return goals
+
+
+@pytest.mark.parametrize("window", [(2, 4, 2), (3, 3, 2), (4, 3, 1)], ids=str)
+def test_derived_sets_answer_as_cold_saturations(window, monkeypatch):
+    # every ordered pair of the representatives, row by row as compute_edges
+    # asks them, against the verdict of a saturation that knows nothing
+    reps = [c.rep for c in classified(window).classes]
+    expected = {
+        (i, j): _cold_verdict([A], [B])
+        for i, A in enumerate(reps) for j, B in enumerate(reps) if i != j
+    }
+    _derived.cache_clear()
+    goals = _counting_saturations(monkeypatch)
+    # pairs that the derived sets settled, by verdict: no saturation, and
+    # neither a trivial hypothesis nor a goal in its own col*
+    settled = {True: 0, False: 0}
+    for (i, j), want in expected.items():
+        A, B = reps[i], reps[j]
+        before = len(goals)
+        assert decide([A], [B])[0] == want, (A, B)
+        if len(goals) == before and not is_trivial(A) and not _goal_in_col_star(B):
+            settled[want] += 1
+    assert (len(goals), settled[True], settled[False]) == DERIVED_COUNTS[window]
+
+
+def test_derived_sets_answer_mixed_queries_as_cold_saturations(monkeypatch):
+    # 200 seeded queries of two hypotheses or two goals over the (3,4,2) and
+    # (4,4,1) candidates; each pool's hypotheses come from a few tuples, so
+    # that later queries find the sets of earlier ones
+    rng = random.Random(3)
+    queries = []
+    for window in [(3, 4, 2), (4, 4, 1)]:
+        pool = [matrix(rows) for rows in candidate_stream(*window)]
+        proper = [M for M in pool if degeneracy_class(M) is DegeneracyClass.PROPER]
+        hyps = [rng.sample(proper, size) for size in (2, 2, 2, 1, 1, 1)]
+        for _ in range(100):
+            S = rng.choice(hyps)
+            queries.append((S, rng.sample(pool, 3 - len(S))))
+    rng.shuffle(queries)
+    expected = [_cold_verdict(S, U) for S, U in queries]
+    _derived.cache_clear()
+    goals = _counting_saturations(monkeypatch)
+    verdicts = [decide(S, U)[0] for S, U in queries]
+    assert verdicts == expected
+    # 69 true queries; 168 saturations where the queries ask 292 goals
+    assert (sum(expected), len(goals)) == (69, 168)
+    assert sum(len(U) for _S, U in queries) == 292
 
 
 # --- tableaux ----------------------------------------------------------------

@@ -35,7 +35,7 @@ from mclex import (
     transitive_reduction,
     window_caps,
 )
-from mclex.closure import decide, instantiate
+from mclex.closure import _derived, decide, instantiate
 from mclex.degeneracy import DegeneracyClass, degeneracy_class, is_trivial, kind_of_rows
 from mclex.enumeration import (
     _EDGE_PROBES,
@@ -716,6 +716,29 @@ def test_pruned_edges_decide_few_pairs(monkeypatch):
     calls.clear()
     compute_edges(reps_4)
     assert len(calls) <= 284
+
+
+def test_derived_sets_save_edge_saturations(monkeypatch):
+    # the decides of one row share their hypothesis, so the column sets
+    # that the row's earlier decides derived settle some goals of its later
+    # ones: 201 saturations for the 284 edge decides of (4,3,1)
+    reps = _reps((4, 3, 1))
+    decides, saturations = [], []
+    real_saturate = mclex.closure.saturate
+
+    def counting_decide(S, U, record=False):
+        decides.append(1)
+        return decide(S, U, record)
+
+    def counting_saturate(S, N, record=False, stop_at_goal=True):
+        saturations.append(1)
+        return real_saturate(S, N, record, stop_at_goal)
+
+    monkeypatch.setattr(mclex.enumeration, "decide", counting_decide)
+    monkeypatch.setattr(mclex.closure, "saturate", counting_saturate)
+    _derived.cache_clear()  # classify's decides ask the same hypotheses
+    compute_edges(reps)
+    assert (len(decides), len(saturations)) == (284, 201)
 
 
 def test_complete_probes_decide_covered_goals_exactly():

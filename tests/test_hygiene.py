@@ -263,10 +263,12 @@ def test_cached_functions_detected():
 
 
 # each functools cache of the package and its maxsize, by module, in line
-# order; _goal_codes is the only per-goal cache of a decide
+# order; _goal_codes is the only per-goal cache of a decide, and _derived,
+# keyed by hypotheses and goal shape, holds at most (k+1)**n saturations
+# per key
 CACHES = {
     "_kernel.py": {"_packed": 32, "_perm_slices": 16},
-    "closure.py": {"instantiate": 1 << 8, "_goal_codes": 1 << 11},
+    "closure.py": {"instantiate": 1 << 8, "_goal_codes": 1 << 11, "_derived": 1 << 11},
     "degeneracy.py": {"is_trivial": 1 << 12, "_row_view": 1 << 10},
     "enumeration.py": {"_probe_masks": 16, "_probe_bits": 1 << 12},
 }

@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+import re
 
 import pytest
 
@@ -321,6 +322,26 @@ def test_dimension_guards():
         ExtendedMatrix(2, 1, 0, ((1,),))
     with pytest.raises(ValueError, match="ragged rows"):
         ExtendedMatrix(1, 1, 0, ((1,),))
+
+
+@pytest.mark.parametrize("entry", [1.5, 2.0, True], ids=repr)
+def test_entries_must_be_ints(entry):
+    # 1.5 once built "1.5 | 1" with k = 1.5, which degeneracy_class called
+    # trivial, and True printed as "True | 1"
+    with pytest.raises(ValueError, match=re.escape(f"entry {entry!r} is not an integer")):
+        ExtendedMatrix(1, 1, 2, ((entry, 1),))
+    # matrix() infers the budget from the largest entry, so it fails there
+    with pytest.raises(ValueError, match="is not an integer"):
+        matrix([(entry, 1)])
+
+
+def test_budget_must_be_an_int():
+    with pytest.raises(ValueError, match=re.escape("variable budget 2.0 is not an integer")):
+        ExtendedMatrix(1, 1, 2.0, ((1, 1),))
+    with pytest.raises(ValueError, match="variable budget True is not an integer"):
+        matrix([(1, 1)], k=True)
+    with pytest.raises(ValueError, match=re.escape("variable budget 2.0 is not an integer")):
+        matrix([(1, 1)]).with_budget(2.0)
 
 
 def test_matrix_is_a_value():
